@@ -974,7 +974,7 @@ def q_events_sessions(sf_dir: str):
 
 def q_image_footprint_join(sf_dir: str):
     """Semi-join of points against image footprints via the broadcast
-    R-tree + PIP actor pool (footprints as axis-aligned polygons)."""
+    R-tree + PIP join (footprints as axis-aligned polygons)."""
     from ray.data.aggregate import Count
 
     from rasters_ray.sources.images import oracle_grid_origin
@@ -1079,9 +1079,7 @@ def q_idw_sample(sf_dir: str):
     """IDW point sampling (float-dtype to_point path). Value-exact as of
     round 4: fixed oracle inputs, per-(image, point) compute with no
     cross-row float reduction -> golden VALUES oracle."""
-    import ray
-
-    from rasters_ray.stages.sampling import IDWSampler
+    from rasters_ray.stages.sampling import idw_sample
 
     pts = pa.table(
         {
@@ -1090,13 +1088,7 @@ def q_idw_sample(sf_dir: str):
             "y": pa.array([43.7 - i * 0.03 for i in range(8)], pa.float64()),
         }
     )
-    ref = ray.put(pts)
-    return _images_ds(sf_dir, 4).map_batches(
-        IDWSampler,
-        fn_constructor_kwargs={"points_ref": ref},
-        batch_format="pyarrow",
-        concurrency=1,
-    )
+    return idw_sample(_images_ds(sf_dir, 4), pts)
 
 
 def q_idw_exact(sf_dir: str):
@@ -1105,11 +1097,9 @@ def q_idw_exact(sf_dir: str):
     centroid sampling), so DuckDB recomputes values from the pixel
     formula. Centroid coords use the SAME float64 expression as
     GridSpec.xy() (x0 + (c + 0.5) * cw) for d2 == 0 exactly."""
-    import ray
-
-    from rasters_ray.stages.sampling import IDWSampler
-
     import pyarrow.parquet as pq
+
+    from rasters_ray.stages.sampling import idw_sample
 
     keys = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey"]).column(
         "c_custkey"
@@ -1124,13 +1114,7 @@ def q_idw_exact(sf_dir: str):
             "y": pa.array(QY0 - (r + 0.5) * QCELL, pa.float64()),
         }
     )
-    ref = ray.put(pts)
-    sampled = _images_ds(sf_dir, 1).map_batches(
-        IDWSampler,
-        fn_constructor_kwargs={"points_ref": ref},
-        batch_format="pyarrow",
-        concurrency=1,
-    )
+    sampled = idw_sample(_images_ds(sf_dir, 1), pts)
 
     def to_int(t: pa.Table) -> pa.Table:
         v = np.rint(t.column("value").to_numpy(zero_copy_only=False)).astype(np.int64)
@@ -1195,6 +1179,7 @@ def q_swath_nearest(sf_dir: str):
     import ray
 
     from rasters_ray.grids import SwathSpec
+    from rasters_ray.util import fetch
 
     swath = SwathSpec.from_vectors(
         QX0 + np.arange(SW_N) * SW_STEP, QY0 - np.arange(SW_N) * SW_STEP
@@ -1202,26 +1187,20 @@ def q_swath_nearest(sf_dir: str):
     swath._index()  # build once on the driver
     ref = ray.put(swath)
 
-    class Lookup:
-        def __init__(self, sref):
-            self.swath = ray.get(sref)
+    def lookup(t: pa.Table) -> pa.Table:
+        k = t.column("c_custkey").to_numpy().astype(np.int64)
+        px = QX0 + (k % 50).astype(np.float64) * SW_STEP + 0.003
+        py = QY0 - ((k // 7) % 50).astype(np.float64) * SW_STEP - 0.003
+        sr, sc = fetch(ref).index_points(px, py)
+        return pa.table(
+            {
+                "point_id": pa.array([f"pt{int(i):06d}" for i in k], pa.string()),
+                "srow": pa.array(sr, pa.int64()),
+                "scol": pa.array(sc, pa.int64()),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            k = t.column("c_custkey").to_numpy().astype(np.int64)
-            px = QX0 + (k % 50).astype(np.float64) * SW_STEP + 0.003
-            py = QY0 - ((k // 7) % 50).astype(np.float64) * SW_STEP - 0.003
-            sr, sc = self.swath.index_points(px, py)
-            return pa.table(
-                {
-                    "point_id": pa.array([f"pt{int(i):06d}" for i in k], pa.string()),
-                    "srow": pa.array(sr, pa.int64()),
-                    "scol": pa.array(sc, pa.int64()),
-                }
-            )
-
-    return _read(sf_dir, "customer", ["c_custkey"]).map_batches(
-        Lookup, fn_constructor_kwargs={"sref": ref}, batch_format="pyarrow", concurrency=2
-    )
+    return _read(sf_dir, "customer", ["c_custkey"]).map_batches(lookup, batch_format="pyarrow")
 
 
 def q_pip_boxes(sf_dir: str):
@@ -9315,6 +9294,8 @@ def q_edit_near(sf_dir: str):
     import ray
     import ray.data as rd
 
+    from rasters_ray.util import fetch
+
     tab = pqm.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).filter(pa.compute.less(pa.compute.field("doc_id"), 32))
@@ -9352,7 +9333,7 @@ def q_edit_near(sf_dir: str):
         return int(prev[-1])
 
     def compute(t: pa.Table) -> pa.Table:
-        tx = ray.get(tref)
+        tx = fetch(tref)
         a = t.column("a").to_numpy(zero_copy_only=False)
         b = t.column("b").to_numpy(zero_copy_only=False)
         d = np.array(
@@ -13704,7 +13685,7 @@ nb AS (
 )
 SELECT printf('img%08d', nb.d) AS image_id,
        nb.r AS r, nb.c AS c,
-       10000 * li - wi * g.s AS z_num,
+       CAST(10000 * li - wi * g.s AS BIGINT) AS z_num,
        wi AS w_cnt,
        CAST(10000 * li - wi * g.s AS DOUBLE) * sqrt(CAST(9999 AS DOUBLE))
          / sqrt(CAST((10000 * g.q - g.s * g.s) * (10000 * wi - wi * wi)
@@ -13722,9 +13703,9 @@ dd AS (
   FROM imgs, range(100) r, range(100) c
 )
 SELECT printf('img%08d', d) AS image_id,
-       COALESCE(SUM(CASE WHEN dz > 0 THEN dz END), 0) AS cut,
-       COALESCE(-SUM(CASE WHEN dz < 0 THEN dz END), 0) AS fill,
-       SUM(dz) AS net,
+       CAST(COALESCE(SUM(CASE WHEN dz > 0 THEN dz END), 0) AS BIGINT) AS cut,
+       CAST(COALESCE(-SUM(CASE WHEN dz < 0 THEN dz END), 0) AS BIGINT) AS fill,
+       CAST(SUM(dz) AS BIGINT) AS net,
        COUNT(*) FILTER (dz > 0) AS n_cut,
        COUNT(*) FILTER (dz < 0) AS n_fill,
        COUNT(*) FILTER (dz = 0) AS n_same
@@ -13918,7 +13899,8 @@ t AS (
 k AS (SELECT 100 * SUM((2 * range - 99) * (2 * range - 99)) AS suu
       FROM range(100))
 SELECT printf('img%08d', d) AS image_id,
-       s_z, s_uz, s_vz,
+       CAST(s_z AS BIGINT) AS s_z, CAST(s_uz AS BIGINT) AS s_uz,
+       CAST(s_vz AS BIGINT) AS s_vz,
        CAST(s_z AS DOUBLE) / CAST(10000 AS DOUBLE) AS mean,
        CAST(s_uz AS DOUBLE) / CAST(k.suu AS DOUBLE) AS slope_u,
        CAST(s_vz AS DOUBLE) / CAST(k.suu AS DOUBLE) AS slope_v
@@ -13952,7 +13934,7 @@ rowp AS (
 )
 SELECT printf('img%08d', colp.d) AS image_id,
        colp.h AS lag,
-       colp.s + rowp.s AS d2sum,
+       CAST(colp.s + rowp.s AS BIGINT) AS d2sum,
        colp.n + rowp.n AS n_pairs,
        CAST(colp.s + rowp.s AS DOUBLE)
          / CAST(2 * (colp.n + rowp.n) AS DOUBLE) AS gamma
@@ -13992,7 +13974,7 @@ z AS (
   FROM nb JOIN g ON nb.d = g.d
 )
 SELECT printf('img%08d', d) AS image_id, r, c,
-       y * ri AS li_num,
+       CAST(y * ri AS BIGINT) AS li_num,
        ki AS k_cnt,
        CAST(10000 * y * ri AS DOUBLE) / CAST(b AS DOUBLE) AS local_i,
        CASE WHEN y > 0 AND ri > 0 THEN 1
@@ -16318,8 +16300,8 @@ o AS (
              ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS token_offset
   FROM tok
 )
-SELECT doc_id, n_tokens, token_offset,
-       token_offset // 256 AS seq_id
+SELECT doc_id, n_tokens, CAST(token_offset AS BIGINT) AS token_offset,
+       CAST(token_offset // 256 AS BIGINT) AS seq_id
 FROM o
 """
 

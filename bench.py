@@ -3,10 +3,10 @@
 Prints ONE JSON line:
   {"metric": "...", "value": <total sec>, "unit": "sec",
    "queries": {...per-pipeline sec...}, "sf": ..., "num_cpus": N,
-   "images_per_sec": ...}
+   "host": {"nproc": ..., "ray_cpus": ...}, "images_per_sec": ...}
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1),
-     RAY_GRAFT_CPUS (default 32),
+     RAY_GRAFT_CPUS (default min(32, the host's CPU count)),
      BENCH_N_IMAGES (default 6000; 256x256 px each).
 
 --scaling: run the same bench in two fresh processes (num_cpus=8 then 32)
@@ -58,7 +58,7 @@ def install_sort_empty_schema_filter():
     logging.getLogger(
         "ray.data._internal.execution.streaming_executor_state"
     ).addFilter(_F())
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", str(min(32, os.cpu_count() or 1))))
 N_IMAGES = int(os.environ.get("BENCH_N_IMAGES", "6000"))
 IMG_SIZE = int(os.environ.get("BENCH_IMG_SIZE", "256"))
 TILE_LEVEL = 8
@@ -94,6 +94,13 @@ def read_images(path):
 
     n_files = len(glob.glob(os.path.join(path, "*.parquet")))
     return rd.read_parquet(path, override_num_blocks=max(1, n_files))
+
+
+def host() -> dict:
+    """The host's CPU count and the CPUs the running Ray session offers."""
+    import ray
+
+    return {"nproc": os.cpu_count(), "ray_cpus": int(ray.cluster_resources().get("CPU", 0))}
 
 
 def run_bench() -> dict:
@@ -354,6 +361,7 @@ def run_bench() -> dict:
         "trials": trials,
         "sf": SF_DIR.rstrip("/").split("sf")[-1],
         "num_cpus": NUM_CPUS,
+        "host": host(),
         "n_images": N_IMAGES,
         "n_tiles": int(stats["n_tiles"]),
         "n_join_rows": int(stats["n_join_rows"]),
@@ -439,12 +447,14 @@ def run_flagship_only() -> dict:
     )
     n_join = join.count()
     sec = time.perf_counter() - t0
+    host_block = host()
     ray.shutdown()
     return {
         "metric": "flagship_scaling_leg",
         "value": round(sec, 3),
         "unit": "sec",
         "num_cpus": NUM_CPUS,
+        "host": host_block,
         "n_images": N_IMAGES,
         "n_tiles": int(n_tiles),
         "n_join_rows": int(n_join),

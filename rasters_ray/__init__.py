@@ -16,9 +16,9 @@ streaming Ray Data pipelines over zero-copy Arrow batches:
 - ``sources``  — GeoTIFF/COG, classic NetCDF + contiguous NetCDF-4/HDF5,
   GeoPackage tiles, GeoJSON, world-file image sinks, and the magic-byte
   ``open_raster`` router with mixed-format Ray ingest.
-- ``stages``   — Ray Data operators: tiling, point->cell join, PIP actor
-  pool, kNN resample actor pool, composites (merge/mosaic), elementwise,
-  focal/terrain/pyramid, zonal stats, colormap rendering.
+- ``stages``   — Ray Data operators: tiling, point->cell join, PIP
+  broadcast join, kNN resample actor pool, composites (merge/mosaic),
+  elementwise, focal/terrain/pyramid, zonal stats, colormap rendering.
 - ``state``    — broadcastable indexes (STR R-tree, uniform grid kNN index)
   and the sharded spill-to-disk streaming dedup index.
 - ``text``     — dedup (exact / MinHash-LSH / SimHash / n-gram Jaccard /

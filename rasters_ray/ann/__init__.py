@@ -1,5 +1,4 @@
 from .search import (
-    BruteForceTopK,
     LSHBuckets,
     cosine_near_dups,
     cosine_topk,
@@ -11,7 +10,6 @@ from .search import (
 )
 
 __all__ = [
-    "BruteForceTopK",
     "LSHBuckets",
     "cosine_near_dups",
     "cosine_topk",

@@ -12,8 +12,8 @@ no embedding ops): the d x d scatter matrix is an ADDITIVE statistic, so
      keep the top-k components with a deterministic sign convention
      (largest-|coordinate| entry positive, ties to the earlier index);
   3. projection pass (`map_batches`): broadcast the k x d component
-     matrix once (`ray.put`, fetched per worker via the shared broadcast
-     cache), project each batch with one matmul.
+     matrix once (`ray.put`, read per worker with `util.fetch`), project
+     each batch with one matmul.
 
 Scale: the all-data covariance costs ONE streaming pass + a d^2 driver
 reduce; projection is embarrassingly parallel.  d is bounded by the
@@ -27,6 +27,7 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray.ann.search import _batch_matrix
+from rasters_ray.util import fetch
 
 __all__ = ["fit_pca", "pca_project"]
 
@@ -92,8 +93,6 @@ def pca_project(
     state_ref = ray.put((comps, mu))
 
     def project(t: pa.Table) -> pa.Table:
-        from rasters_ray.stages.point_join import _cached_get
-
         if t.num_rows == 0:
             return pa.table(
                 {
@@ -101,7 +100,7 @@ def pca_project(
                     "proj": pa.array([], pa.list_(pa.float64())),
                 }
             )
-        c, m = _cached_get(state_ref)
+        c, m = fetch(state_ref)
         x = _batch_matrix(t, col).astype(np.float64)
         p = (x - m) @ c.T
         return pa.table(

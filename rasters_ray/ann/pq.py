@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray.ann.search import _batch_matrix
+from rasters_ray.util import fetch
 
 __all__ = ["train_pq", "pq_train_local", "pq_encode",
            "pq_reconstruct", "pq_topk", "pq_topk_local"]
@@ -80,8 +81,6 @@ def train_pq(
         bref = ray.put(books)
 
         def partial(t: pa.Table) -> pa.Table:
-            from rasters_ray.stages.point_join import _cached_get
-
             if t.num_rows == 0:
                 return pa.table(
                     {
@@ -91,7 +90,7 @@ def train_pq(
                         "n": pa.array([], pa.int64()),
                     }
                 )
-            b = _cached_get(bref)
+            b = fetch(bref)
             x = _batch_matrix(t, col).astype(np.float32)
             rows = {"m": [], "code": [], "vsum": [], "n": []}
             for m in range(b.shape[0]):
@@ -179,8 +178,6 @@ def pq_encode(embeddings_ds, books: np.ndarray, col: str = "embedding",
     bref = ray.put(books)
 
     def encode(t: pa.Table) -> pa.Table:
-        from rasters_ray.stages.point_join import _cached_get
-
         if t.num_rows == 0:
             return pa.table(
                 {
@@ -188,7 +185,7 @@ def pq_encode(embeddings_ds, books: np.ndarray, col: str = "embedding",
                     "codes": pa.array([], pa.list_(pa.int64())),
                 }
             )
-        b = _cached_get(bref)
+        b = fetch(bref)
         x = _batch_matrix(t, col).astype(np.float32)
         codes = np.zeros((len(x), m_subspaces), np.int64)
         for m in range(m_subspaces):
@@ -249,8 +246,6 @@ def pq_topk(
     bref = ray.put((books, lut))
 
     def adc_partial(t: pa.Table) -> pa.Table:
-        from rasters_ray.stages.point_join import _cached_get
-
         if t.num_rows == 0:
             return pa.table(
                 {
@@ -259,7 +254,7 @@ def pq_topk(
                     "adc": pa.array([], pa.float64()),
                 }
             )
-        b, lt = _cached_get(bref)
+        b, lt = fetch(bref)
         x = _batch_matrix(t, col).astype(np.float32)
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
         adc = _adc_scores(x, b, lt)  # (nq, n) fixed-order float64
@@ -299,8 +294,6 @@ def pq_topk(
     def rerank(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        from rasters_ray.stages.point_join import _cached_get
-
         empty = pa.table(
             {
                 "query_idx": pa.array([], pa.int64()),
@@ -310,7 +303,7 @@ def pq_topk(
         )
         if t.num_rows == 0:
             return empty
-        qm, short, all_short = _cached_get(sref)
+        qm, short, all_short = fetch(sref)
         t = t.filter(pc.is_in(t.column(id_col), pa.array(all_short, pa.int64())))
         if t.num_rows == 0:
             return empty

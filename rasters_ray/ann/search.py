@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pyarrow as pa
 
-from ..util import pool_size
+from ..util import fetch
 
 
 def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
@@ -52,55 +52,44 @@ def _dot64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("nd,md->nm", a.astype(np.float64), b.astype(np.float64))
 
 
-class BruteForceTopK:
-    """map_batches stage: per-batch exact cosine top-k against the
-    broadcast query matrix; emits (query_idx, vec_id, score) partials."""
-
-    def __init__(self, queries_ref, k: int, id_col: str = "vec_id", col: str = "embedding"):
-        import ray
-
-        q = ray.get(queries_ref) if not isinstance(queries_ref, np.ndarray) else queries_ref
-        self.q = _normalize(np.asarray(q, dtype=np.float32))
-        self.k = k
-        self.id_col = id_col
-        self.col = col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            # the lsh/ivf filter stages routinely emit 0-row tables, and
-            # map_batches can see empty blocks (same guard as elsewhere)
-            return pa.table(
-                {
-                    "query_idx": pa.array([], pa.int32()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
-        m = _normalize(_batch_matrix(batch, self.col).astype(np.float32))
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        # _dot64: bit-identical per-pair scores for any batch layout,
-        # which (with tie-inclusive partials below) makes the final
-        # top-k deterministic — the golden-oracle gate for ANN queries
-        sims = _dot64(m, self.q)
-        k = min(self.k, m.shape[0])
-        out_q, out_id, out_s = [], [], []
-        for qi in range(self.q.shape[0]):
-            s = sims[:, qi]
-            kth = np.partition(-s, k - 1)[k - 1]
-            # ties at the k-th score INCLUDED: a per-batch truncation of
-            # equal scores would make the global result depend on which
-            # batch a tied candidate landed in
-            top = np.flatnonzero(-s <= kth)
-            out_q.extend([qi] * len(top))
-            out_id.extend(ids[top].tolist())
-            out_s.extend(s[top].tolist())
+def topk_partials(batch: pa.Table, q: np.ndarray, k: int, id_col: str, col: str) -> pa.Table:
+    """Per-batch exact cosine top-k against the normalized query matrix
+    ``q``; emits tie-inclusive (query_idx, vec_id, score) partials."""
+    if batch.num_rows == 0:
+        # the lsh/ivf filter stages routinely emit 0-row tables, and
+        # map_batches can see empty blocks (same guard as elsewhere)
         return pa.table(
             {
-                "query_idx": pa.array(out_q, pa.int32()),
-                "vec_id": pa.array(out_id),
-                "score": pa.array(out_s, pa.float64()),
+                "query_idx": pa.array([], pa.int32()),
+                "vec_id": pa.array([], pa.int64()),
+                "score": pa.array([], pa.float64()),
             }
         )
+    m = _normalize(_batch_matrix(batch, col).astype(np.float32))
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    # _dot64: bit-identical per-pair scores for any batch layout,
+    # which (with tie-inclusive partials below) makes the final
+    # top-k deterministic — the golden-oracle gate for ANN queries
+    sims = _dot64(m, q)
+    k = min(k, m.shape[0])
+    out_q, out_id, out_s = [], [], []
+    for qi in range(q.shape[0]):
+        s = sims[:, qi]
+        kth = np.partition(-s, k - 1)[k - 1]
+        # ties at the k-th score INCLUDED: a per-batch truncation of
+        # equal scores would make the global result depend on which
+        # batch a tied candidate landed in
+        top = np.flatnonzero(-s <= kth)
+        out_q.extend([qi] * len(top))
+        out_id.extend(ids[top].tolist())
+        out_s.extend(s[top].tolist())
+    return pa.table(
+        {
+            "query_idx": pa.array(out_q, pa.int32()),
+            "vec_id": pa.array(out_id),
+            "score": pa.array(out_s, pa.float64()),
+        }
+    )
 
 
 def cosine_topk(
@@ -109,17 +98,13 @@ def cosine_topk(
     k: int = 10,
     id_col: str = "vec_id",
     col: str = "embedding",
-    concurrency: Optional[int] = None,
 ) -> pa.Table:
     """Exact top-k: batch partials -> driver final merge (k rows/query)."""
     import ray
 
-    qref = ray.put(np.asarray(queries, dtype=np.float32))
+    qref = ray.put(_normalize(np.asarray(queries, dtype=np.float32)))
     partials = embeddings_ds.map_batches(
-        BruteForceTopK,
-        fn_constructor_kwargs={"queries_ref": qref, "k": k, "id_col": id_col, "col": col},
-        batch_format="pyarrow",
-        concurrency=concurrency or pool_size(0.5),
+        lambda b: topk_partials(b, fetch(qref), k, id_col, col), batch_format="pyarrow"
     )
     # exact merge: collect the (k + ties)-sized partials, one global
     # (-score, vec_id) sort per query — arrival order cannot matter (a
@@ -423,9 +408,7 @@ def kmeans_centroids(
         cref = ray.put(cents)
 
         def partial(t: pa.Table) -> pa.Table:
-            import ray as _ray
-
-            c = _ray.get(cref)
+            c = fetch(cref)
             m = _normalize(_batch_matrix(t, col).astype(np.float32))
             a = _km_argmax(m, c)  # (n,) nearest centroid
             # fixed-point int64 partial: exact + commutative fold
@@ -538,9 +521,7 @@ def ivf_topk(
     wanted = pa.array(probed.astype(np.int64), pa.int64())
 
     def filt(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        c = _ray.get(cref)
+        c = fetch(cref)
         m = _normalize(_batch_matrix(t, col).astype(np.float32))
         a = _km_argmax(m, c).astype(np.int64)
         return t.filter(pc.is_in(pa.array(a, pa.int64()), wanted))
@@ -568,9 +549,7 @@ def kmeans_assign(
     cref = ray.put(cents)
 
     def assign(t: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        c = _ray.get(cref)
+        c = fetch(cref)
         m = _normalize(_batch_matrix(t, col).astype(np.float32))
         sims = _dot64(m, c)  # fixed-order reduction: bit-stable
         a = np.argmax(sims, axis=1)

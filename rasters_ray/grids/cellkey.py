@@ -21,6 +21,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from .covering import cell_ranges
+
 MAX_LEVEL = 26
 _LEVEL_SHIFT = 56
 _Y_SHIFT = 28
@@ -93,15 +95,9 @@ def covering_cells(
         left = covering_cells(level, (xmin, ymin, 180.0, ymax))
         right = covering_cells(level, (-180.0, ymin, xmax, ymax))
         return np.unique(np.concatenate([left, right]))
-    n = 1 << level
-    w = 360.0 / n
-    h = 180.0 / n
-    ix0 = max(0, int(np.floor((xmin + 180.0) / w)))
-    ix1 = min(n - 1, int(np.floor((xmax + 180.0) / w - 1e-12)))
-    ix1 = max(ix1, ix0)
-    iy0 = max(0, int(np.floor((90.0 - ymax) / h)))
-    iy1 = min(n - 1, int(np.floor((90.0 - ymin) / h - 1e-12)))
-    iy1 = max(iy1, iy0)
+    if not np.isfinite(bbox).all():
+        raise ValueError(f"covering_cells needs a finite bbox, got {bbox}")
+    ix0, ix1, iy0, iy1 = cell_ranges(level, xmin, ymin, xmax, ymax)
     ixs = np.arange(ix0, ix1 + 1, dtype=np.int64)
     iys = np.arange(iy0, iy1 + 1, dtype=np.int64)
     gx, gy = np.meshgrid(ixs, iys)

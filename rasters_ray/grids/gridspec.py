@@ -28,6 +28,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .affine import Affine
+from .windows import box_windows, point_cells
 
 
 class OutOfBoundsError(Exception):
@@ -127,14 +128,10 @@ class GridSpec:
         half-to-even like Python round. NaN inputs produce row/col of
         np.iinfo(int64).min (callers must mask with the returned validity).
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        colf = (x - self.x_origin) / self.cell_width - 0.5
-        rowf = (y - self.y_origin) / self.cell_height - 0.5
-        finite = np.isfinite(colf) & np.isfinite(rowf)
-        col = np.where(finite, np.rint(colf), np.iinfo(np.int64).min).astype(np.int64)
-        row = np.where(finite, np.rint(rowf), np.iinfo(np.int64).min).astype(np.int64)
-        return row, col
+        return point_cells(
+            self.x_origin, self.y_origin, self.cell_width, self.cell_height,
+            np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64),
+        )
 
     def index_point(self, x: float, y: float) -> Tuple[int, int]:
         """Scalar point->cell as (row, col) — matches int(round(.))."""
@@ -159,37 +156,16 @@ class GridSpec:
     ) -> Window:
         """bbox (native CRS) -> Window, with optional pixel buffer applied
         BEFORE clamping (raster_grid.py:770-815)."""
-        xmin, ymin, xmax, ymax = bbox
-        row_start, col_start = self.index_point(xmin, ymax)  # UL corner
-        row_end, col_end = self.index_point(xmax, ymin)  # LR corner
-        row_end += 1
-        col_end += 1
-
-        rows, cols = self.shape
-        if row_end < 0 or col_end < 0 or row_start > rows or col_start > cols:
-            raise OutOfBoundsError(
-                f"target geometry is not within source geometry "
-                f"row_start: {row_start} row_end: {row_end} "
-                f"col_start: {col_start} col_end: {col_end} rows: {rows} cols: {cols}"
-            )
-
-        if buffer is not None:
-            row_start -= buffer
-            col_start -= buffer
-            row_end += buffer
-            col_end += buffer
-
-        row_start = max(row_start, 0)
-        col_start = max(col_start, 0)
-        row_end = min(row_end, rows)
-        col_end = min(col_end, cols)
-
-        return Window(
-            col_off=col_start,
-            row_off=row_start,
-            width=col_end - col_start,
-            height=row_end - row_start,
+        ro, co, hh, ww, valid = box_windows(
+            self.x_origin, self.y_origin, self.cell_width, self.cell_height, self.rows, self.cols,
+            *(np.array([v], dtype=np.float64) for v in bbox), buffer=buffer or 0,
         )
+        if not valid[0]:
+            raise OutOfBoundsError(
+                f"target geometry {tuple(bbox)} is not within source geometry "
+                f"rows: {self.rows} cols: {self.cols}"
+            )
+        return Window(col_off=int(co[0]), row_off=int(ro[0]), width=int(ww[0]), height=int(hh[0]))
 
     def windows_for_bboxes(self, xmin, ymin, xmax, ymax):
         """Vectorized window rule over bbox arrays.
@@ -197,16 +173,11 @@ class GridSpec:
         Returns (row_off, col_off, height, width, valid) int64/bool arrays;
         valid=False marks disjoint boxes (the scalar path raises
         OutOfBoundsError instead, raster_grid.py:757-760)."""
-        row_start, col_start = self.index_points(np.asarray(xmin, float), np.asarray(ymax, float))
-        row_end, col_end = self.index_points(np.asarray(xmax, float), np.asarray(ymin, float))
-        row_end = row_end + 1
-        col_end = col_end + 1
-        valid = ~((row_end < 0) | (col_end < 0) | (row_start > self.rows) | (col_start > self.cols))
-        row_start = np.clip(row_start, 0, self.rows)
-        col_start = np.clip(col_start, 0, self.cols)
-        row_end = np.clip(row_end, 0, self.rows)
-        col_end = np.clip(col_end, 0, self.cols)
-        return row_start, col_start, row_end - row_start, col_end - col_start, valid
+        return box_windows(
+            self.x_origin, self.y_origin, self.cell_width, self.cell_height,
+            self.rows, self.cols,
+            *(np.asarray(v, dtype=np.float64) for v in (xmin, ymin, xmax, ymax)),
+        )
 
     def subset(self, window: Window) -> "GridSpec":
         """Window -> new grid with shifted origin (raster_grid.py:817-833)."""

@@ -8,8 +8,8 @@ Semantics mirrored from the reference ``rasters/raster_geolocation.py``:
   (raster_geolocation.py:34-71).
 - ``index_point``: nearest neighbor over raveled (x, y) then unravel
   (raster_geolocation.py:130-143). The reference builds a cKDTree per call;
-  here the index is a reusable uniform-bucket grid (built once, cached —
-  the actor-pool state of SURVEY.md §2.3).
+  here the index is a reusable uniform-bucket grid (built once, cached,
+  and shipped with the swath when it is broadcast).
 - ``index(bbox)``: boolean mask with INCLUSIVE bounds
   (raster_geolocation.py:145-172).
 - ``window(bbox, buffer)``: min/max extents of true cells, +1 inclusive

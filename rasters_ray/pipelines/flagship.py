@@ -6,7 +6,7 @@ End-to-end, all streaming (the north-star job the bench measures):
       -> tile_images            # covering-cell assignment + window slicing
       -> write tiles partitioned by cell-key prefix   (resumable, §checkpoint)
     read images
-      -> sample_points          # broadcast point buckets, actor pool
+      -> sample_points          # broadcast point buckets, stateless tasks
     tiles -> composite_cells    # groupby(cell_key) merge composite
 
 ``run_flagship_partitioned`` wraps the tiling leg in the per-partition

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import hash_u64
+from rasters_ray.util import fetch, hash_u64
 
 __all__ = ["BloomFilter", "build_bloom", "bloom_filter_ds", "bloom_semi_join"]
 
@@ -109,14 +109,12 @@ def bloom_filter_ds(left_ds, on: str, bloom: BloomFilter):
     negatives).  The bitmap ships via ray.put once, not per batch."""
     import ray
 
-    ref = ray.put(bloom.words)
-    m_bits, k = bloom.m_bits, bloom.k
+    ref = ray.put(bloom)
 
     def filt(t: pa.Table) -> pa.Table:
         if not t.num_rows:
             return t
-        f = BloomFilter(ray.get(ref), m_bits, k)
-        return t.filter(pa.array(f.contains(t.column(on))))
+        return t.filter(pa.array(fetch(ref).contains(t.column(on))))
 
     return left_ds.map_batches(filt, batch_format="pyarrow")
 

@@ -32,6 +32,7 @@ import pyarrow as pa
 
 import ray
 
+from ..util import fetch
 from .aggregates import grouped_int_sums
 from .joins import hash_join
 
@@ -133,7 +134,7 @@ def pagerank(edges, iters: int = 8, scale: int = 10**12):
         ref = ray.put((nodes, rank))
 
         def push(t: pa.Table, _ref=ref) -> pa.Table:
-            nd, rk = ray.get(_ref)
+            nd, rk = fetch(_ref)
             s = t.column("a").to_numpy(zero_copy_only=False)
             d = t.column("b").to_numpy(zero_copy_only=False)
             od = t.column("outdeg").to_numpy(zero_copy_only=False)

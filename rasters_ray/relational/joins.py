@@ -12,7 +12,7 @@ Scale shapes
   large path; at 256 nodes the shuffle moves each row exactly once.
 - ``broadcast_join``: zero-shuffle path for a small right side — the
   driver ``ray.put``s the table once, every map task joins its batch
-  against the shared copy (fetched once per worker, not per batch).
+  against the copy ``util.fetch`` deserializes once per worker.
 - ``asof_join``: per-key time-series join ("latest right row at or
   before each left row").  Same single union+groupby shuffle; inside a
   partition the match is fully vectorized — lexsort both halves by
@@ -46,7 +46,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from rasters_ray.util import hash_parts, hash_parts_cols
+from rasters_ray.util import fetch, hash_parts, hash_parts_cols
 
 _RPREFIX = "__r_"
 
@@ -172,9 +172,8 @@ def broadcast_join(
     ref = ray.put(right_table)
 
     def join_batch(t: pa.Table) -> pa.Table:
-        rt = ray.get(ref)  # plasma-shared per node; fetched once per worker
         return t.join(
-            rt,
+            fetch(ref),
             keys=[on] if isinstance(on, str) else list(on),
             right_keys=[right_on] if isinstance(right_on, str) else list(right_on),
             join_type=how,
@@ -309,29 +308,16 @@ def interval_join(
     ik = intervals.column(by).to_numpy(zero_copy_only=False).astype(np.int64)
     istart = _ts_i64(intervals.column(start_col))
     iend = _ts_i64(intervals.column(end_col))
-    iid = intervals.column(interval_id_col)
     order = np.lexsort((istart, ik))
-    pack = pa.table(
-        {
-            "k": pa.array(ik[order]),
-            "s": pa.array(istart[order]),
-            "e": pa.array(iend[order]),
-            "id": iid.take(pa.array(order)),
-        }
-    )
-    ref = ray.put(pack)
+    iid = intervals.column(interval_id_col).take(pa.array(order)).combine_chunks()
+    ref = ray.put((ik[order], istart[order], iend[order], iid))
 
     def match(t: pa.Table) -> pa.Table:
-        iv = ray.get(ref)
-        k = iv.column("k").to_numpy()
-        s = iv.column("s").to_numpy()
-        e = iv.column("e").to_numpy()
+        k, s, e, iid = fetch(ref)
         lk = t.column(by).to_numpy(zero_copy_only=False).astype(np.int64)
         lt = _ts_i64(t.column(on))
         if t.num_rows == 0 or len(k) == 0:
-            return t.slice(0, 0).append_column(
-                interval_id_col, pa.nulls(0, iv.schema.field("id").type)
-            )
+            return t.slice(0, 0).append_column(interval_id_col, pa.nulls(0, iid.type))
         lo = min(s.min(), lt.min())
         span = np.int64(max(e.max(), lt.max()) - lo + 2)
         kcodes, inv = np.unique(np.r_[k, lk], return_inverse=True)
@@ -346,7 +332,7 @@ def interval_join(
         ok &= inside
         keep = pa.array(ok)
         out = t.filter(keep)
-        ids = iv.column("id").take(pa.array(p[ok], pa.int64()))
+        ids = iid.take(pa.array(p[ok], pa.int64()))
         return out.append_column(interval_id_col, ids)
 
     return left_ds.map_batches(match, batch_format="pyarrow")

@@ -7,7 +7,6 @@ from .composite import (
 from .point_join import (
     JOIN_SCHEMA,
     PointBuckets,
-    PointSampleStage,
     assign_cells,
     sample_points,
     sample_points_batch,
@@ -26,8 +25,6 @@ from .pyramid import block_reduce_sums, overview_images, overview_stats
 from .terrain import horn_numerators, terrain_gradient, terrain_halo_tiled
 from .zonal import (
     ZONES_SCHEMA,
-    ZonalCategoricalStage,
-    ZonalStage,
     crosstab,
     crosstab_images,
     cut_fill,
@@ -48,7 +45,6 @@ from .elementwise import (
 )
 from .pip import (
     PIP_SCHEMA,
-    PIPJoinStage,
     PolygonSet,
     pip_join,
     point_in_rings,
@@ -66,13 +62,11 @@ from .resample import (
     utm_target_grid,
     warp_array,
 )
-from .sampling import IDWSampler, band_stack, idw_sample_array, render_png, to_geometry
+from .sampling import band_stack, idw_sample, idw_sample_array, render_png, to_geometry
 from .tiling import TILES_SCHEMA, make_tiles, tile_images
 
 __all__ = [
     "ZONES_SCHEMA",
-    "ZonalStage",
-    "ZonalCategoricalStage",
     "crosstab",
     "crosstab_images",
     "cut_fill",
@@ -80,7 +74,6 @@ __all__ = [
     "zonal_categorical",
     "zonal_stats",
     "PIP_SCHEMA",
-    "PIPJoinStage",
     "PolygonSet",
     "pip_join",
     "point_in_rings",
@@ -97,7 +90,6 @@ __all__ = [
     "partial_lattice_sums",
     "JOIN_SCHEMA",
     "PointBuckets",
-    "PointSampleStage",
     "assign_cells",
     "sample_points",
     "sample_points_batch",

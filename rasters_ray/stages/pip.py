@@ -7,24 +7,26 @@ Re-expresses the reference's ``RasterGrid.rasterize`` / ``mask``
   against one polygon (exterior ring + holes) — the exact test behind the
   reference default ``all_touched=False`` (cell-CENTER containment,
   raster_grid.py:941).
-- ``PIPJoinStage``: the north-rule join: polygons broadcast once
-  (``ray.put``: ring arrays + an STR R-tree over their bboxes), point
-  batches probe the tree for candidates, exact PIP only on candidates.
-  Inner/semi/anti outputs.
+- ``pip_join``: the north-rule join: polygons broadcast once
+  (``ray.put``: ring arrays + an STR R-tree over their bboxes, read by
+  each task with ``util.fetch``), point batches probe the tree for
+  candidates, exact PIP only on candidates.  Inner/semi/anti outputs.
 - ``rasterize_mask``: polygon set -> boolean cell mask on a GridSpec
   (geometry_mask's ``invert`` knob included, raster_grid.py:986-1012).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 import numpy as np
 import pyarrow as pa
 
 from ..grids import GridSpec, OutOfBoundsError
 from ..sources.vectors import rings_to_numpy
+from ..state.gridindex import GridNNIndex
 from ..state.rtree import STRtree
+from ..util import fetch
 
 PIP_SCHEMA = pa.schema(
     [
@@ -99,65 +101,42 @@ class PolygonSet:
         return np.concatenate(keep_q), np.concatenate(keep_b)
 
 
-class PIPJoinStage:
-    """Actor-pool stage: point batches -> (point_id, poly_id, inside) rows.
-    mode='inner' emits containment pairs; 'semi' emits each matched point
-    once; 'anti' emits unmatched points (poly_id null)."""
-
-    def __init__(self, polyset_ref, mode: str = "inner",
-                 x_col: str = "x", y_col: str = "y", id_col: str = "point_id"):
-        import ray
-
-        self.polys: PolygonSet = (
-            ray.get(polyset_ref) if not isinstance(polyset_ref, PolygonSet) else polyset_ref
-        )
-        self.mode = mode
-        self.x_col = x_col
-        self.y_col = y_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        px = batch.column(self.x_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        py = batch.column(self.y_col).to_numpy(zero_copy_only=False).astype(np.float64)
-        ids = np.asarray(batch.column(self.id_col).to_pylist(), dtype=object)
-        qi, bi = self.polys.test_points(px, py)
-        if self.mode == "inner":
-            return pa.table(
-                {
-                    "point_id": pa.array(ids[qi].tolist(), pa.string()),
-                    "poly_id": pa.array([self.polys.ids[int(b)] for b in bi], pa.string()),
-                    "inside": pa.array([True] * len(qi), pa.bool_()),
-                }
-            )
-        matched = np.zeros(len(ids), dtype=bool)
-        matched[qi] = True
-        sel = matched if self.mode == "semi" else ~matched
-        n = int(sel.sum())
+def pip_join_batch(batch: pa.Table, polys: PolygonSet, mode: str) -> pa.Table:
+    """Point batch -> (point_id, poly_id, inside) rows.  mode='inner' emits
+    containment pairs; 'semi' emits each matched point once; 'anti' emits
+    unmatched points (poly_id null)."""
+    px = batch.column("x").to_numpy(zero_copy_only=False).astype(np.float64)
+    py = batch.column("y").to_numpy(zero_copy_only=False).astype(np.float64)
+    ids = np.asarray(batch.column("point_id").to_pylist(), dtype=object)
+    qi, bi = polys.test_points(px, py)
+    if mode == "inner":
         return pa.table(
             {
-                "point_id": pa.array(ids[sel].tolist(), pa.string()),
-                "poly_id": pa.array([None] * n, pa.string()),
-                "inside": pa.array(sel[sel].tolist(), pa.bool_())
-                if self.mode == "semi"
-                else pa.array([False] * n, pa.bool_()),
+                "point_id": pa.array(ids[qi].tolist(), pa.string()),
+                "poly_id": pa.array([polys.ids[int(b)] for b in bi], pa.string()),
+                "inside": pa.array([True] * len(qi), pa.bool_()),
             }
         )
+    matched = np.zeros(len(ids), dtype=bool)
+    matched[qi] = True
+    sel = matched if mode == "semi" else ~matched
+    n = int(sel.sum())
+    return pa.table(
+        {
+            "point_id": pa.array(ids[sel].tolist(), pa.string()),
+            "poly_id": pa.array([None] * n, pa.string()),
+            "inside": pa.array([mode == "semi"] * n, pa.bool_()),
+        }
+    )
 
 
-def pip_join(points_ds, polygons: pa.Table, mode: str = "inner", concurrency=None):
+def pip_join(points_ds, polygons: pa.Table, mode: str = "inner"):
     """Dataset[points] x polygon table -> Dataset[pip rows] (broadcast join)."""
     import ray
 
     ref = ray.put(PolygonSet(polygons))
-    if concurrency is None:
-        from ..util import pool_size
-
-        concurrency = pool_size(0.5)
     return points_ds.map_batches(
-        PIPJoinStage,
-        fn_constructor_kwargs={"polyset_ref": ref, "mode": mode},
-        batch_format="pyarrow",
-        concurrency=concurrency,
+        lambda b: pip_join_batch(b, fetch(ref), mode), batch_format="pyarrow"
     )
 
 
@@ -307,69 +286,48 @@ def polygons_intersect(rings_a: List[np.ndarray],
     return _segments_intersect(_edges(rings_a), _edges(rings_b))
 
 
-class PolygonJoinStage:
-    """Actor-pool stage: polygon batches x broadcast PolygonSet ->
-    (poly_id, other_id) intersect pairs (the polygon flavor of
-    PIPJoinStage: bbox R-tree candidates, exact test on candidates
-    only). mode='inner' emits pairs; 'semi' each matched feature once;
-    'anti' unmatched features."""
-
-    def __init__(self, polyset_ref, mode: str = "inner"):
-        import ray
-
-        self.polys: PolygonSet = (
-            ray.get(polyset_ref)
-            if not isinstance(polyset_ref, PolygonSet) else polyset_ref)
-        self.mode = mode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column("poly_id").to_pylist()
-        cells = [rings_to_numpy(v)
-                 for v in batch.column("rings").to_pylist()]
-        boxes = np.array(
-            [(min(r[:, 0].min() for r in rs), min(r[:, 1].min() for r in rs),
-              max(r[:, 0].max() for r in rs), max(r[:, 1].max() for r in rs))
-             for rs in cells], dtype=np.float64).reshape(-1, 4)
-        qi, bi = self.polys.tree.query_boxes(boxes)
-        pairs_q: List[int] = []
-        pairs_b: List[int] = []
-        for q, b in zip(qi.tolist(), bi.tolist()):
-            if polygons_intersect(cells[q], self.polys.rings[b]):
-                pairs_q.append(q)
-                pairs_b.append(b)
-        if self.mode == "inner":
-            return pa.table({
-                "poly_id": pa.array([ids[q] for q in pairs_q], pa.string()),
-                "other_id": pa.array([self.polys.ids[b] for b in pairs_b],
-                                     pa.string()),
-            })
-        matched = np.zeros(len(ids), dtype=bool)
-        matched[pairs_q] = True
-        sel = matched if self.mode == "semi" else ~matched
-        keep = [i for i in range(len(ids)) if sel[i]]
+def polygon_join_batch(batch: pa.Table, polys: PolygonSet, mode: str) -> pa.Table:
+    """Polygon batch x broadcast PolygonSet -> (poly_id, other_id)
+    intersect pairs (the polygon flavor of ``pip_join_batch``: bbox R-tree
+    candidates, exact test on candidates only). mode='inner' emits pairs;
+    'semi' each matched feature once; 'anti' unmatched features."""
+    ids = batch.column("poly_id").to_pylist()
+    cells = [rings_to_numpy(v) for v in batch.column("rings").to_pylist()]
+    boxes = np.array(
+        [(min(r[:, 0].min() for r in rs), min(r[:, 1].min() for r in rs),
+          max(r[:, 0].max() for r in rs), max(r[:, 1].max() for r in rs))
+         for rs in cells], dtype=np.float64).reshape(-1, 4)
+    qi, bi = polys.tree.query_boxes(boxes)
+    pairs_q: List[int] = []
+    pairs_b: List[int] = []
+    for q, b in zip(qi.tolist(), bi.tolist()):
+        if polygons_intersect(cells[q], polys.rings[b]):
+            pairs_q.append(q)
+            pairs_b.append(b)
+    if mode == "inner":
         return pa.table({
-            "poly_id": pa.array([ids[i] for i in keep], pa.string()),
-            "other_id": pa.array([None] * len(keep), pa.string()),
+            "poly_id": pa.array([ids[q] for q in pairs_q], pa.string()),
+            "other_id": pa.array([polys.ids[b] for b in pairs_b], pa.string()),
         })
+    matched = np.zeros(len(ids), dtype=bool)
+    matched[pairs_q] = True
+    sel = matched if mode == "semi" else ~matched
+    keep = [i for i in range(len(ids)) if sel[i]]
+    return pa.table({
+        "poly_id": pa.array([ids[i] for i in keep], pa.string()),
+        "other_id": pa.array([None] * len(keep), pa.string()),
+    })
 
 
-def polygon_join(polys_ds, polygons: pa.Table, mode: str = "inner",
-                 concurrency=None):
+def polygon_join(polys_ds, polygons: pa.Table, mode: str = "inner"):
     """Dataset[polygons] x polygon table -> intersect pairs (broadcast
     join; the small side ships once via ray.put, the stream side never
     shuffles)."""
     import ray
 
     ref = ray.put(PolygonSet(polygons))
-    if concurrency is None:
-        from ..util import pool_size
-
-        concurrency = pool_size(0.5)
     return polys_ds.map_batches(
-        PolygonJoinStage,
-        fn_constructor_kwargs={"polyset_ref": ref, "mode": mode},
-        batch_format="pyarrow",
-        concurrency=concurrency,
+        lambda b: polygon_join_batch(b, fetch(ref), mode), batch_format="pyarrow"
     )
 
 
@@ -377,73 +335,60 @@ def polygon_join(polys_ds, polygons: pa.Table, mode: str = "inner",
 # nearest-feature join
 # ---------------------------------------------------------------------------
 
-class NearestJoinStage:
-    """Actor-pool stage: point batches -> (point_id, site_id, d2) rows
-    joining each point to its nearest site (gpd.sjoin_nearest parity).
-    Small site sets (<= brute_max) use one vectorized (batch x sites)
-    distance matrix whose argmin tie-breaks to the LOWEST site index —
-    bit-deterministic and SQL-reproducible; larger sets use the
-    expanding-ring GridNNIndex (state/gridindex.py). Distances are
-    SQUARED planar units (exact f64 products; callers sqrt when they
-    need metric distance)."""
-
-    brute_max = 256
-
-    def __init__(self, sites_ref):
-        import ray
-
-        sites = (ray.get(sites_ref)
-                 if not isinstance(sites_ref, pa.Table) else sites_ref)
-        self.site_ids = sites.column("site_id").to_pylist()
-        self.sx = sites.column("x").to_numpy().astype(np.float64)
-        self.sy = sites.column("y").to_numpy().astype(np.float64)
-        if len(self.site_ids) > self.brute_max:
-            from ..state.gridindex import GridNNIndex
-
-            self.index = GridNNIndex(self.sx, self.sy)
-        else:
-            self.index = None
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        px = batch.column("x").to_numpy().astype(np.float64)
-        py = batch.column("y").to_numpy().astype(np.float64)
-        if self.index is None:
-            dx = px[:, None] - self.sx[None, :]
-            dy = py[:, None] - self.sy[None, :]
-            d2 = dx * dx + dy * dy
-            idx = np.argmin(d2, axis=1)  # first minimum = lowest index
-            best = d2[np.arange(len(px)), idx]
-        else:
-            idx, dist = self.index.query(px, py)
-            # recompute d2 with the canonical expression order so the
-            # two paths emit bit-identical values
-            dx = px - self.sx[idx]
-            dy = py - self.sy[idx]
-            best = dx * dx + dy * dy
-        return pa.table({
-            "point_id": batch.column("point_id"),
-            "site_id": pa.array([self.site_ids[i] for i in idx.tolist()],
-                                pa.string()),
-            "d2": pa.array(best, pa.float64()),
-        })
+# site sets up to this size use one (batch x sites) distance matrix;
+# larger ones the expanding-ring GridNNIndex
+_BRUTE_MAX = 256
 
 
-def nearest_join(points_ds, sites: pa.Table, concurrency=None):
+def _nearest_sites(sites: pa.Table):
+    """Broadcast form of a site table, built once on the driver:
+    (site_ids, x, y, GridNNIndex or None for small sets)."""
+    sx = sites.column("x").to_numpy().astype(np.float64)
+    sy = sites.column("y").to_numpy().astype(np.float64)
+    index = GridNNIndex(sx, sy) if len(sx) > _BRUTE_MAX else None
+    return sites.column("site_id").cast(pa.string()).combine_chunks(), sx, sy, index
+
+
+def nearest_join_batch(batch: pa.Table, sites) -> pa.Table:
+    """Point batch -> (point_id, site_id, d2) rows joining each point to
+    its nearest site (gpd.sjoin_nearest parity).  Small site sets use one
+    vectorized (batch x sites) distance matrix whose argmin tie-breaks to
+    the LOWEST site index — bit-deterministic and SQL-reproducible;
+    larger sets use the expanding-ring GridNNIndex (state/gridindex.py).
+    Distances are SQUARED planar units (exact f64 products; callers sqrt
+    when they need metric distance).  ``sites`` is ``_nearest_sites(...)``."""
+    site_ids, sx, sy, index = sites
+    px = batch.column("x").to_numpy().astype(np.float64)
+    py = batch.column("y").to_numpy().astype(np.float64)
+    if index is None:
+        dx = px[:, None] - sx[None, :]
+        dy = py[:, None] - sy[None, :]
+        d2 = dx * dx + dy * dy
+        idx = np.argmin(d2, axis=1)  # first minimum = lowest index
+        best = d2[np.arange(len(px)), idx]
+    else:
+        idx, _ = index.query(px, py)
+        # recompute d2 with the canonical expression order so the
+        # two paths emit bit-identical values
+        dx = px - sx[idx]
+        dy = py - sy[idx]
+        best = dx * dx + dy * dy
+    return pa.table({
+        "point_id": batch.column("point_id"),
+        "site_id": site_ids.take(pa.array(idx, pa.int64())),
+        "d2": pa.array(best, pa.float64()),
+    })
+
+
+def nearest_join(points_ds, sites: pa.Table):
     """Dataset[points] x site table -> nearest-site rows (broadcast
     join: sites ship once via ray.put; the point stream never
     shuffles)."""
     import ray
 
-    ref = ray.put(sites)
-    if concurrency is None:
-        from ..util import pool_size
-
-        concurrency = pool_size(0.5)
+    ref = ray.put(_nearest_sites(sites))
     return points_ds.map_batches(
-        NearestJoinStage,
-        fn_constructor_kwargs={"sites_ref": ref},
-        batch_format="pyarrow",
-        concurrency=concurrency,
+        lambda b: nearest_join_batch(b, fetch(ref)), batch_format="pyarrow"
     )
 
 

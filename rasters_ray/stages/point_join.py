@@ -5,20 +5,19 @@ Re-expresses the reference's geometry lookups as Ray Data join patterns
 
 - ``assign_cells``: vectorized point -> tile-key assignment (the broadcast
   join key; RasterGrid.index_point semantics, raster_grid.py:717-735).
-- ``PointSampleStage``: a stateful actor-pool stage holding the broadcast
-  point table bucketed by cell; for each image batch it finds candidate
-  points via covering cells, computes (row, col) via the inverse
-  affine-center rule, decodes pixels once per image and gathers values —
-  the engine's ``Raster.open(geometry=MultiPoint)`` / ``to_point``
+- ``sample_points``: the point table is bucketed by cell once on the
+  driver and broadcast; stateless tasks read it with ``util.fetch`` and,
+  for each image batch, find candidate points via covering cells,
+  compute (row, col) via the inverse affine-center rule, decode pixels
+  once per image and gather values — the engine's
+  ``Raster.open(geometry=MultiPoint)`` / ``to_point``
   (raster.py:670-711, raster.py:1295-1322).
-- missed points (no image contains them) become NaN rows via
-  ``unmatched_points`` — the reference's OOB->NaN semantics
-  (raster.py:701-703): a left/anti-join.
+- missed points (no image contains them) become NaN rows through a
+  fused anti-join shuffle — the reference's OOB->NaN semantics
+  (raster.py:701-703).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
 
 import numpy as np
 import pyarrow as pa
@@ -26,6 +25,7 @@ import pyarrow as pa
 from .. import codec
 from ..grids import GridSpec, cellkey
 from ..proj import transform_xy
+from ..util import fetch, hash_parts, map_groups_typed
 
 JOIN_SCHEMA = pa.schema(
     [
@@ -62,7 +62,7 @@ def assign_cells(batch: pa.Table, level: int, x_col: str = "x", y_col: str = "y"
 class PointBuckets:
     """Broadcastable point lookup: cell_key -> (point_ids, lon, lat).
     Built once on the driver from the (small) point table, ``ray.put`` and
-    shared by every sampler actor."""
+    read by every sampling task through ``util.fetch``."""
 
     def __init__(self, points: pa.Table, level: int):
         pts = assign_cells(points, level)
@@ -87,41 +87,6 @@ class PointBuckets:
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)
-
-
-class PointSampleStage:
-    """Actor-pool stage: images batch -> join rows.
-
-    __init__ runs once per actor (broadcast fetch); __call__ per batch.
-    Pass to ``map_batches(PointSampleStage, fn_constructor_kwargs=...,
-    concurrency=N, batch_format="pyarrow")``.
-    """
-
-    def __init__(self, buckets_ref, level: int):
-        import ray
-
-        self.buckets: PointBuckets = (
-            ray.get(buckets_ref) if not isinstance(buckets_ref, PointBuckets) else buckets_ref
-        )
-        self.level = level
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return sample_points_batch(batch, self.buckets, self.level)
-
-
-# per-WORKER broadcast cache for the stateless-task form: ray.get is paid
-# once per worker process, not per task — actor-like amortization without
-# actor-pool spin-up latency (read-only state makes this safe)
-_WORKER_BROADCAST_CACHE: Dict = {}
-
-
-def _cached_get(ref):
-    key = ref.hex() if hasattr(ref, "hex") else id(ref)
-    if key not in _WORKER_BROADCAST_CACHE:
-        import ray
-
-        _WORKER_BROADCAST_CACHE[key] = ray.get(ref)
-    return _WORKER_BROADCAST_CACHE[key]
 
 
 def sample_points_batch(batch: pa.Table, buckets: PointBuckets, level: int) -> pa.Table:
@@ -181,16 +146,14 @@ def sample_points(
     images_ds,
     points: pa.Table,
     level: int = 8,
-    concurrency: Optional[int] = None,
     include_misses: bool = True,
     batch_size: int = 64,
 ):
     """Dataset[images] x points table -> Dataset[join rows].
 
     The point table is the small side: bucketed once on the driver,
-    ``ray.put`` broadcast, fetched ONCE PER WORKER via a process-global
-    cache and used by stateless tasks — elastic like tasks, amortized like
-    actors, with no actor-pool spin-up. Misses (points no image contains)
+    ``ray.put`` once, and read by stateless tasks through ``util.fetch``
+    (deserialized once per worker). Misses (points no image contains)
     are appended as NaN rows (raster.py:701-703 semantics).
     """
     import ray
@@ -200,15 +163,9 @@ def sample_points(
     ref = ray.put(buckets)
 
     def sample(batch: pa.Table) -> pa.Table:
-        return sample_points_batch(batch, _cached_get(ref), level)
+        return sample_points_batch(batch, fetch(ref), level)
 
-    kw = {"concurrency": concurrency} if concurrency is not None else {}
-    matched = images_ds.map_batches(
-        sample,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        **kw,
-    )
+    matched = images_ds.map_batches(sample, batch_format="pyarrow", batch_size=batch_size)
     if not include_misses:
         return matched
 
@@ -222,8 +179,6 @@ def sample_points(
     # (relational/joins.py machinery, specialised so the matched stream is
     # consumed a single time).
     import pyarrow.compute as pc
-
-    from ..util import hash_parts
 
     n_pts = points.num_rows
     marker = pa.Table.from_arrays(
@@ -274,7 +229,5 @@ def sample_points(
             schema=JOIN_SCHEMA,
         )
         return pa.concat_tables([real, miss_tbl])
-
-    from ..util import map_groups_typed
 
     return map_groups_typed(union, "_jp", finish, JOIN_SCHEMA)

@@ -1,8 +1,8 @@
 """Sampling + rendering + banding stages completing SURVEY.md §2.
 
-- ``IDWSampler``: inverse-distance-weighted point sampling over pixel
-  centroids (raster.py:1494-1545) — a stateful actor holding the per-image
-  centroid cache; float-dtype ``to_point`` dispatch uses it
+- ``idw_sample``: inverse-distance-weighted point sampling over pixel
+  centroids (raster.py:1494-1545) — the query points are broadcast and
+  each task samples its images; float-dtype ``to_point`` dispatch uses it
   (raster.py:1295-1322: nearest for int dtype, IDW for float).
 - ``render_png``/``render_jpeg``: value raster -> display uint8 PNG or
   baseline JPEG via min-max stretch (the to_geojpeg/to_geopng path,
@@ -16,14 +16,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 import numpy as np
 import pyarrow as pa
 
 from .. import codec
 from ..grids import GridSpec
 from ..grids.swath import SwathSpec
+from ..util import fetch
 
 
 def idw_sample_array(
@@ -50,42 +49,49 @@ def idw_sample_array(
     return out
 
 
-class IDWSampler:
-    """Actor-pool stage: images batch x broadcast points -> IDW value rows."""
+def idw_sample_batch(batch: pa.Table, points, power: float) -> pa.Table:
+    """Images batch x (point_ids, x, y) point arrays -> IDW value rows for
+    every point inside an image's bbox."""
+    pids, px, py = points
+    out_pid, out_iid, out_val = [], [], []
+    grids = batch.column("grid").to_pylist()
+    fmts = batch.column("fmt").to_pylist()
+    blobs = batch.column("bytes").to_pylist()
+    ids = batch.column("image_id").to_pylist()
+    for i in range(batch.num_rows):
+        grid = GridSpec.from_dict(grids[i])
+        xmin, ymin, xmax, ymax = grid.bbox
+        sel = (px >= xmin) & (px <= xmax) & (py >= ymin) & (py <= ymax)
+        if not sel.any():
+            continue
+        arr = codec.decode(blobs[i], fmts[i])
+        vals = idw_sample_array(arr, grid, px[sel], py[sel], power)
+        out_pid.extend(pids[sel].tolist())
+        out_iid.extend([ids[i]] * int(sel.sum()))
+        out_val.extend(vals.tolist())
+    return pa.table(
+        {
+            "point_id": pa.array(out_pid, pa.string()),
+            "image_id": pa.array(out_iid, pa.string()),
+            "value": pa.array(out_val, pa.float64()),
+        }
+    )
 
-    def __init__(self, points_ref, power: float = 2.0):
-        import ray
 
-        pts = ray.get(points_ref) if not isinstance(points_ref, pa.Table) else points_ref
-        self.ids = np.asarray(pts.column("point_id").to_pylist(), dtype=object)
-        self.px = pts.column("x").to_numpy()
-        self.py = pts.column("y").to_numpy()
-        self.power = power
+def idw_sample(images_ds, points: pa.Table, power: float = 2.0):
+    """Dataset[images] x (point_id, x, y) table -> Dataset[(point_id,
+    image_id, value)] IDW samples; the point arrays ship once via
+    ``ray.put`` and each task reads them with ``util.fetch``."""
+    import ray
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_pid, out_iid, out_val = [], [], []
-        grids = batch.column("grid").to_pylist()
-        fmts = batch.column("fmt").to_pylist()
-        blobs = batch.column("bytes").to_pylist()
-        ids = batch.column("image_id").to_pylist()
-        for i in range(batch.num_rows):
-            grid = GridSpec.from_dict(grids[i])
-            xmin, ymin, xmax, ymax = grid.bbox
-            sel = (self.px >= xmin) & (self.px <= xmax) & (self.py >= ymin) & (self.py <= ymax)
-            if not sel.any():
-                continue
-            arr = codec.decode(blobs[i], fmts[i])
-            vals = idw_sample_array(arr, grid, self.px[sel], self.py[sel], self.power)
-            out_pid.extend(self.ids[sel].tolist())
-            out_iid.extend([ids[i]] * int(sel.sum()))
-            out_val.extend(vals.tolist())
-        return pa.table(
-            {
-                "point_id": pa.array(out_pid, pa.string()),
-                "image_id": pa.array(out_iid, pa.string()),
-                "value": pa.array(out_val, pa.float64()),
-            }
-        )
+    ref = ray.put((
+        np.asarray(points.column("point_id").to_pylist(), dtype=object),
+        points.column("x").to_numpy(),
+        points.column("y").to_numpy(),
+    ))
+    return images_ds.map_batches(
+        lambda b: idw_sample_batch(b, fetch(ref), power), batch_format="pyarrow"
+    )
 
 
 def _stretch_u8(arr: np.ndarray) -> np.ndarray:

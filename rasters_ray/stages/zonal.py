@@ -2,9 +2,10 @@
 
 The rasterize ∘ aggregate composition (reference: ``Raster.mask`` +
 numpy stats per geometry, raster.py mask/statistics paths) as a
-streaming Ray pipeline: the zone table is TINY (broadcast once via
-``ray.put``), each image batch accumulates integer (sum, count)
-partials per zone with one boolean-mask slice per (image, zone), and a
+streaming Ray pipeline: the zone table is TINY (``ray.put`` once, read
+by each task through ``util.fetch``), each image batch accumulates
+integer (sum, count) partials per zone with one boolean-mask slice per
+(image, zone), and a
 low-cardinality ``groupby(zone_id).aggregate(Sum)`` finishes. Zone
 cardinality is the number of polygons/boxes a user asks about — small
 by construction — so the per-key groupby is appropriate here (the
@@ -24,6 +25,7 @@ import pyarrow as pa
 
 from .. import codec
 from ..grids import GridSpec
+from ..util import fetch
 
 ZONES_SCHEMA = pa.schema(
     [
@@ -36,163 +38,113 @@ ZONES_SCHEMA = pa.schema(
 )
 
 
-class ZonalStage:
-    """map_batches combiner: per-batch (zone_id, psum, pcnt) partials.
-    Zones fetched once per worker from the broadcast ref."""
+def _zone_arrays(zones: pa.Table):
+    """Broadcast form of a zone table, built once on the driver:
+    (zone_id, xmin, ymin, xmax, ymax) numpy arrays."""
+    zid = zones.column("zone_id").to_numpy(zero_copy_only=False).astype(np.int64)
+    return (zid,) + tuple(
+        zones.column(c).to_numpy(zero_copy_only=False) for c in ("xmin", "ymin", "xmax", "ymax")
+    )
 
-    def __init__(self, zones_ref):
-        import ray
 
-        z = ray.get(zones_ref) if not isinstance(zones_ref, pa.Table) else zones_ref
-        self.zid = z.column("zone_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        self.xmin = z.column("xmin").to_numpy(zero_copy_only=False)
-        self.ymin = z.column("ymin").to_numpy(zero_copy_only=False)
-        self.xmax = z.column("xmax").to_numpy(zero_copy_only=False)
-        self.ymax = z.column("ymax").to_numpy(zero_copy_only=False)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        grids = batch.column("grid").to_pylist()
-        fmts = batch.column("fmt").to_pylist()
-        blobs = codec.BlobReader(batch.column("bytes"))
-        acc: dict = {}
-        for i in range(batch.num_rows):
-            grid = GridSpec.from_dict(grids[i])
-            arr = codec.decode(blobs[i], fmts[i])
-            if arr.ndim != 2:
-                raise ValueError("zonal_stats is per-band: split band stacks first")
-            finite = np.isfinite(arr)
-            vals = np.where(finite, np.rint(arr), 0).astype(np.int64)
-            cx = grid.x_origin + (np.arange(grid.cols) + 0.5) * grid.cell_width
-            cy = grid.y_origin + (np.arange(grid.rows) + 0.5) * grid.cell_height
-            gx0, gx1 = cx.min(), cx.max()
-            gy0, gy1 = cy.min(), cy.max()
-            hit = np.flatnonzero(
-                (self.xmin <= gx1) & (self.xmax >= gx0)
-                & (self.ymin <= gy1) & (self.ymax >= gy0)
-            )
-            for z in hit:
-                mx = (cx >= self.xmin[z]) & (cx <= self.xmax[z])
-                my = (cy >= self.ymin[z]) & (cy <= self.ymax[z])
-                if not (mx.any() and my.any()):
-                    continue
+def _zone_slices(batch: pa.Table, zones, codes: bool = False):
+    """Yields (zone_id, finite, vals) for every (image, zone) pair of an
+    image batch whose zone box holds at least one pixel center: the
+    boolean finite mask and the rounded int64 values (0 where not finite)
+    of the pixels whose centers lie in the zone.  ``codes=True`` requires
+    non-negative values (categorical rasters)."""
+    zid, xmin, ymin, xmax, ymax = zones
+    grids = batch.column("grid").to_pylist()
+    fmts = batch.column("fmt").to_pylist()
+    blobs = codec.BlobReader(batch.column("bytes"))
+    for i in range(batch.num_rows):
+        grid = GridSpec.from_dict(grids[i])
+        arr = codec.decode(blobs[i], fmts[i])
+        if arr.ndim != 2:
+            raise ValueError("zonal stats are per-band: split band stacks first")
+        finite = np.isfinite(arr)
+        vals = np.where(finite, np.rint(arr), 0).astype(np.int64)
+        if codes and (vals < 0).any():
+            raise ValueError("categorical zonal stats expect non-negative codes")
+        cx = grid.x_origin + (np.arange(grid.cols) + 0.5) * grid.cell_width
+        cy = grid.y_origin + (np.arange(grid.rows) + 0.5) * grid.cell_height
+        gx0, gx1 = cx.min(), cx.max()
+        gy0, gy1 = cy.min(), cy.max()
+        hit = np.flatnonzero((xmin <= gx1) & (xmax >= gx0) & (ymin <= gy1) & (ymax >= gy0))
+        for z in hit:
+            mx = (cx >= xmin[z]) & (cx <= xmax[z])
+            my = (cy >= ymin[z]) & (cy <= ymax[z])
+            if mx.any() and my.any():
                 sub = np.ix_(my, mx)
-                n = int(finite[sub].sum())
-                if n == 0:
-                    continue
-                s = int(vals[sub].sum())
-                zid = int(self.zid[z])
-                if zid in acc:
-                    acc[zid][0] += s
-                    acc[zid][1] += n
-                else:
-                    acc[zid] = [s, n]
-        if not acc:
-            return pa.table(
-                {"zone_id": pa.array([], pa.int64()),
-                 "psum": pa.array([], pa.int64()),
-                 "pcnt": pa.array([], pa.int64())}
-            )
-        zids = sorted(acc)
-        return pa.table(
-            {
-                "zone_id": pa.array(zids, pa.int64()),
-                "psum": pa.array([acc[z][0] for z in zids], pa.int64()),
-                "pcnt": pa.array([acc[z][1] for z in zids], pa.int64()),
-            }
-        )
+                yield int(zid[z]), finite[sub], vals[sub]
 
 
-def zonal_stats(images_ds, zones: pa.Table, concurrency=None):
+def zonal_partials(batch: pa.Table, zones) -> pa.Table:
+    """Per-batch (zone_id, psum, pcnt) integer partials of finite pixels."""
+    acc: dict = {}
+    for zid, finite, vals in _zone_slices(batch, zones):
+        n = int(finite.sum())
+        if n:
+            s, c = acc.get(zid, (0, 0))
+            acc[zid] = (s + int(vals.sum()), c + n)
+    zids = sorted(acc)
+    return pa.table(
+        {
+            "zone_id": pa.array(zids, pa.int64()),
+            "psum": pa.array([acc[z][0] for z in zids], pa.int64()),
+            "pcnt": pa.array([acc[z][1] for z in zids], pa.int64()),
+        }
+    )
+
+
+def zonal_stats(images_ds, zones: pa.Table):
     """Dataset[(zone_id, n_px, sum_value)] — only zones with >= 1 finite
     pixel appear (inner-join semantics, matching the SQL oracle)."""
     import ray
     from ray.data.aggregate import Sum
 
-    zref = ray.put(zones)
+    zref = ray.put(_zone_arrays(zones))
     partials = images_ds.map_batches(
-        ZonalStage,
-        fn_constructor_kwargs={"zones_ref": zref},
-        batch_format="pyarrow",
-        concurrency=concurrency or 4,
+        lambda b: zonal_partials(b, fetch(zref)), batch_format="pyarrow"
     )
     return partials.groupby("zone_id").aggregate(
         Sum("pcnt", alias_name="n_px"), Sum("psum", alias_name="sum_value")
     )
 
 
-class ZonalCategoricalStage:
-    """map_batches combiner for categorical zonal statistics: per-batch
-    (zone_id, value, pcnt) partials via one bincount per (image, zone)
-    slice.  Values are rounded to int64 (finite pixels only), the same
-    center-containment bbox test as ZonalStage."""
-
-    def __init__(self, zones_ref):
-        import ray
-
-        z = ray.get(zones_ref) if not isinstance(zones_ref, pa.Table) else zones_ref
-        self.zid = z.column("zone_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        self.xmin = z.column("xmin").to_numpy(zero_copy_only=False)
-        self.ymin = z.column("ymin").to_numpy(zero_copy_only=False)
-        self.xmax = z.column("xmax").to_numpy(zero_copy_only=False)
-        self.ymax = z.column("ymax").to_numpy(zero_copy_only=False)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        grids = batch.column("grid").to_pylist()
-        fmts = batch.column("fmt").to_pylist()
-        blobs = codec.BlobReader(batch.column("bytes"))
-        acc: dict = {}
-        for i in range(batch.num_rows):
-            grid = GridSpec.from_dict(grids[i])
-            arr = codec.decode(blobs[i], fmts[i])
-            if arr.ndim != 2:
-                raise ValueError("zonal stats are per-band: split band stacks first")
-            finite = np.isfinite(arr)
-            vals = np.where(finite, np.rint(arr), 0).astype(np.int64)
-            if (vals < 0).any():
-                raise ValueError("categorical zonal stats expect non-negative codes")
-            cx = grid.x_origin + (np.arange(grid.cols) + 0.5) * grid.cell_width
-            cy = grid.y_origin + (np.arange(grid.rows) + 0.5) * grid.cell_height
-            gx0, gx1 = cx.min(), cx.max()
-            gy0, gy1 = cy.min(), cy.max()
-            hit = np.flatnonzero(
-                (self.xmin <= gx1) & (self.xmax >= gx0)
-                & (self.ymin <= gy1) & (self.ymax >= gy0)
-            )
-            for z in hit:
-                mx = (cx >= self.xmin[z]) & (cx <= self.xmax[z])
-                my = (cy >= self.ymin[z]) & (cy <= self.ymax[z])
-                if not (mx.any() and my.any()):
-                    continue
-                sub = np.ix_(my, mx)
-                fin = finite[sub].ravel()
-                if not fin.any():
-                    continue
-                counts = np.bincount(vals[sub].ravel()[fin])
-                zid = int(self.zid[z])
-                prev = acc.get(zid)
-                if prev is None:
-                    acc[zid] = counts
-                elif prev.size >= counts.size:
-                    prev[: counts.size] += counts
-                else:
-                    counts[: prev.size] += prev
-                    acc[zid] = counts
-        zc, vc, nc = [], [], []
-        for zid in sorted(acc):
-            nz = np.flatnonzero(acc[zid])
-            zc.extend([zid] * nz.size)
-            vc.extend(nz.tolist())
-            nc.extend(acc[zid][nz].tolist())
-        return pa.table(
-            {
-                "zone_id": pa.array(zc, pa.int64()),
-                "value": pa.array(vc, pa.int64()),
-                "pcnt": pa.array(nc, pa.int64()),
-            }
-        )
+def zonal_categorical_partials(batch: pa.Table, zones) -> pa.Table:
+    """Per-batch (zone_id, value, pcnt) partials of categorical zonal
+    statistics: one bincount per (image, zone) slice of finite pixels."""
+    acc: dict = {}
+    for zid, finite, vals in _zone_slices(batch, zones, codes=True):
+        fin = finite.ravel()
+        if not fin.any():
+            continue
+        counts = np.bincount(vals.ravel()[fin])
+        prev = acc.get(zid)
+        if prev is None:
+            acc[zid] = counts
+        elif prev.size >= counts.size:
+            prev[: counts.size] += counts
+        else:
+            counts[: prev.size] += prev
+            acc[zid] = counts
+    zc, vc, nc = [], [], []
+    for zid in sorted(acc):
+        nz = np.flatnonzero(acc[zid])
+        zc.extend([zid] * nz.size)
+        vc.extend(nz.tolist())
+        nc.extend(acc[zid][nz].tolist())
+    return pa.table(
+        {
+            "zone_id": pa.array(zc, pa.int64()),
+            "value": pa.array(vc, pa.int64()),
+            "pcnt": pa.array(nc, pa.int64()),
+        }
+    )
 
 
-def zonal_categorical(images_ds, zones: pa.Table, concurrency=None):
+def zonal_categorical(images_ds, zones: pa.Table):
     """ArcGIS ZonalStatistics MAJORITY / MINORITY / VARIETY (plus MIN /
     MAX) over integer-coded rasters: Dataset[(zone_id, variety, vmin,
     vmax, majority, majority_n, minority, minority_n)].
@@ -204,12 +156,9 @@ def zonal_categorical(images_ds, zones: pa.Table, concurrency=None):
     import ray
     from ray.data.aggregate import Sum
 
-    zref = ray.put(zones)
+    zref = ray.put(_zone_arrays(zones))
     partials = images_ds.map_batches(
-        ZonalCategoricalStage,
-        fn_constructor_kwargs={"zones_ref": zref},
-        batch_format="pyarrow",
-        concurrency=concurrency or 4,
+        lambda b: zonal_categorical_partials(b, fetch(zref)), batch_format="pyarrow"
     )
     pairs = partials.groupby(["zone_id", "value"]).aggregate(
         Sum("pcnt", alias_name="n")
@@ -246,7 +195,7 @@ class CrosstabStage:
     contingency counts are accumulated into ONE packed bincount per
     batch.  The partial payload is distinct (zone, klass) pairs — never
     pixels — so the finishing groupby is tiny regardless of raster
-    size (same partial-aggregate shape as ZonalStage)."""
+    size (same partial-aggregate shape as zonal_stats)."""
 
     def __init__(self, classify):
         self.classify = classify

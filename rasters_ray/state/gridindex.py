@@ -2,10 +2,10 @@
 reference's cKDTree / pyresample neighbor index (kdtree.py:182-202,
 raster_geolocation.py:130-143).
 
-Build once (O(n) bucketing, CSR layout), query vectorized over whole point
-batches with expanding-ring search. Designed to be built in an actor's
-``__init__`` and reused across batches, and to be small enough to
-``ray.put`` and share across an actor pool.
+Build once (O(n) bucketing, CSR layout) and query vectorized over whole
+point batches with expanding-ring search.  A broadcast small side builds
+it on the driver and ships it in the same ``ray.put``; tasks read it
+with ``util.fetch``.
 
 Correctness bound: after searching all buckets within Chebyshev ring r of a
 query's bucket, every unsearched point is at Euclidean distance >= r*cell,

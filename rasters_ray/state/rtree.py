@@ -1,6 +1,6 @@
 """STR-packed R-tree over bounding boxes — the broadcast spatial index of
-the north rule ("points and polygon geometries are joined with a broadcast
-R-tree + batched PIP test inside stateful actor pools").
+the north rule (points and polygon geometries are joined with a broadcast
+R-tree + batched PIP test).
 
 The reference has no R-tree; its nearest analog is a bbox prefilter +
 exact test (raster_geometry.py:610-622, raster_geolocation.py:158-172).
@@ -11,7 +11,7 @@ y-center, pack leaves of capacity M, repeat upward.
 Queries are vectorized over whole batches (frontier expansion per level,
 all numpy) and return candidate (query_idx, box_idx) pairs for an exact
 test downstream. The whole structure is a handful of numpy arrays —
-cheaply ``ray.put`` once and shared by every PIP actor.
+cheaply ``ray.put`` once and read by every PIP task with ``util.fetch``.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ from typing import Dict
 import numpy as np
 import pyarrow as pa
 
+from rasters_ray.util import fetch
+
 _TOKEN_RE = re.compile(r"\S+")
 _UPPER_RE = re.compile(r"[A-Z]")
 
@@ -194,7 +196,7 @@ def salient_terms(docs_ds, k: int = 3, id_col: str = "doc_id",
     ref = ray.put((vterms, vdf))
 
     def enrich(t: pa.Table) -> pa.Table:
-        vt, vd = ray.get(ref)
+        vt, vd = fetch(ref)
         ids = t.column(id_col)
         texts = t.column(text_col).to_pylist()
         terms: list = []
@@ -506,9 +508,7 @@ def heavy_hitter_tokens(
     def recount(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        import ray as _ray
-
-        cands = _ray.get(cand_ref)
+        cands = fetch(cand_ref)
         big = " ".join(t or "" for t in batch.column(text_col).to_pylist()).lower()
         toks = pa.array(_TOKEN_RE.findall(big), pa.string())
         vc = pc.value_counts(toks.filter(pc.is_in(toks, value_set=cands)))
@@ -635,9 +635,7 @@ def bigram_coverage(docs_ds, k: int = 200, id_col: str = "doc_id",
     top_ref = ray.put(top)
 
     def coverage(t: pa.Table) -> pa.Table:
-        from rasters_ray.stages.point_join import _cached_get
-
-        tp = _cached_get(top_ref)
+        tp = fetch(top_ref)
         ids = t.column(id_col)
         nb: list = []
         nk: list = []
@@ -711,7 +709,7 @@ def decontaminate(docs_ds, bench_mod: int = 37, n: int = 5,
     ref = ray.put(bench_sorted)
 
     def scan(t: pa.Table) -> pa.Table:
-        bg = ray.get(ref)
+        bg = fetch(ref)
         ids = t.column(id_col).to_numpy()
         txts = t.column(text_col).to_pylist()
         out_id, out_n, out_h, out_d = [], [], [], []

@@ -18,8 +18,8 @@ asserted BIT-EQUAL to a sequential single-process reference in tests
 not SQL-expressible, hence a rows-only contract entry).
 
 Merge application is the standard greedy left-to-right pair scan per
-word; the per-round merge list is broadcast (``ray.put`` once, fetched
-per worker via the shared cache).
+word; the per-round merge list is broadcast (``ray.put`` once, read per
+worker with ``util.fetch``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import hash_parts
+from rasters_ray.util import fetch, hash_parts
 
 __all__ = ["apply_merges", "train_bpe", "bpe_train_local"]
 
@@ -108,10 +108,8 @@ def train_bpe(docs_ds, n_merges: int = 8, text_col: str = "text",
         merges_ref = ray.put(list(merges))
 
         def pair_counts(t: pa.Table, _ref=merges_ref) -> pa.Table:
-            from rasters_ray.stages.point_join import _cached_get
-
             return _pair_rows(
-                t.column(text_col).to_pylist(), _cached_get(_ref), n_parts
+                t.column(text_col).to_pylist(), fetch(_ref), n_parts
             )
 
         def top1(group: pa.Table) -> pa.Table:

@@ -29,8 +29,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import pool_size
-
 _WORD_RE = re.compile(r"\S+")
 
 _MERSENNE = (1 << 61) - 1

@@ -39,7 +39,7 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray.text.dedup import exact_verify_pairs
-from rasters_ray.util import hash_parts
+from rasters_ray.util import fetch, hash_parts
 
 __all__ = ["set_similarity_join", "word_token_set"]
 
@@ -113,13 +113,10 @@ def set_similarity_join(
     thr = float(threshold)
 
     def prefix_rows(t: pa.Table) -> pa.Table:
-        """Emits (rank, doc, size) prefix rows; the rank order is fetched
-        once per WORKER via the shared broadcast cache (stateless task
-        stage — no actor-pool CPU reservation to deadlock against the
-        groupbys downstream)."""
-        from rasters_ray.stages.point_join import _cached_get
-
-        rank = _cached_get(rank_ref)
+        """Emits (rank, doc, size) prefix rows; the rank order is read
+        with ``util.fetch`` (stateless task stage — no actor-pool CPU
+        reservation to deadlock against the groupbys downstream)."""
+        rank = fetch(rank_ref)
         ids = t.column(id_col).to_numpy(zero_copy_only=False)
         texts = t.column(text_col).to_pylist()
         ranks_out: list = []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 _FIB_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
@@ -104,16 +107,32 @@ def map_groups_typed(ds, keys, fn, out_schema):
     )
 
 
-def pool_size(fraction: float = 0.25, lo: int = 1, hi: int = 8) -> int:
-    """Actor-pool size that leaves CPUs free for the surrounding stages.
+# Broadcasts each worker process keeps deserialized.  The most one
+# pipeline reads at once is two (``ivf_topk``: the probe centroids and
+# ``cosine_topk``'s query matrix); four keeps a second such pipeline
+# sharing the worker resident too.  Every job ``ray.put``s new refs, so a
+# long-lived worker would otherwise keep every broadcast it ever read.
+FETCH_CACHE_SIZE = 4
+_FETCHED: OrderedDict = OrderedDict()
+_FETCH_LOCK = threading.Lock()  # threaded actors may share one worker
 
-    A pipeline with two actor pools plus a shuffle deadlocks if the pools
-    reserve every CPU (the sort tasks never get a slot) — size each pool to
-    a FRACTION of the session CPUs, clamped to [lo, hi]."""
-    try:
-        import ray
 
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        cpus = 4
-    return max(lo, min(hi, int(cpus * fraction)))
+def fetch(ref):
+    """The value behind a broadcast ``ref`` (a ``ray.put`` of the small
+    side), deserialized once per worker process and kept in an LRU of
+    ``FETCH_CACHE_SIZE`` entries.  The one place a worker turns a
+    broadcast ref into a value; the value is shared, never mutate it."""
+    key = ref.hex()
+    with _FETCH_LOCK:
+        if key in _FETCHED:
+            _FETCHED.move_to_end(key)
+            return _FETCHED[key]
+    import ray
+
+    value = ray.get(ref)
+    with _FETCH_LOCK:
+        value = _FETCHED.setdefault(key, value)
+        _FETCHED.move_to_end(key)
+        while len(_FETCHED) > FETCH_CACHE_SIZE:
+            _FETCHED.popitem(last=False)
+    return value

@@ -1,12 +1,15 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at a given sf against its oracle_sql() (DuckDB over the same parquet
-views) and compare row count, schema (column names), and sorted values.
+views) and compare row count, schema (column names), each column's
+integer/float kind, and sorted values.  A column whose kind matches but
+whose width differs (int32 vs int64) is printed as a warning.
 
 Usage: python scripts/check_contract.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -14,7 +17,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part", "orders",
@@ -43,11 +46,31 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(by=list(df.columns), kind="stable").reset_index(drop=True)
 
 
+def _kind(dtype) -> str:
+    if pd.api.types.is_integer_dtype(dtype):
+        return "int"
+    return "float" if pd.api.types.is_float_dtype(dtype) else "other"
+
+
+def width_warnings(ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list:
+    """Columns of the same numeric kind but a different width."""
+    return [
+        f"{c}: ray={ray_df[c].dtype} sql={sql_df[c].dtype}"
+        for c in sorted(set(ray_df.columns) & set(sql_df.columns))
+        if _kind(ray_df[c].dtype) != "other"
+        and _kind(ray_df[c].dtype) == _kind(sql_df[c].dtype)
+        and ray_df[c].dtype != sql_df[c].dtype
+    ]
+
+
 def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> str:
     if set(ray_df.columns) != set(sql_df.columns):
         return f"SCHEMA MISMATCH ray={sorted(ray_df.columns)} sql={sorted(sql_df.columns)}"
     if len(ray_df) != len(sql_df):
         return f"ROWCOUNT MISMATCH ray={len(ray_df)} sql={len(sql_df)}"
+    for c in sorted(ray_df.columns):
+        if {_kind(ray_df[c].dtype), _kind(sql_df[c].dtype)} == {"int", "float"}:
+            return f"KIND MISMATCH col={c} ray={ray_df[c].dtype} sql={sql_df[c].dtype}"
     a = canon(ray_df)
     b = canon(sql_df)
     for c in a.columns:
@@ -110,6 +133,8 @@ def main():
         if status == "FAIL":
             failures += 1
         print(f"{name:18s} {status} ({len(ray_df)} rows, {ray_s:.1f}s) {verdict if verdict != 'OK' else ''}")
+        for w in width_warnings(ray_df, sql_df):
+            print(f"{name:18s} WARN width {w}")
     ray.shutdown()
     sys.exit(1 if failures else 0)
 

@@ -59,21 +59,18 @@ def test_polygon_join_modes(ray_session):
                       ("s1", [_rect(11, 11, 4, 4)]),  # hits B1
                       ("s2", [_rect(3, 3, 9, 9)]),    # hits both
                       ("s3", [_rect(100, 100, 1, 1)])])  # none
-    inner = polygon_join(rd.from_arrow(stream), small, mode="inner",
-                         concurrency=1).take_all()
+    inner = polygon_join(rd.from_arrow(stream), small, mode="inner").take_all()
     pairs = sorted((r["poly_id"], r["other_id"]) for r in inner)
     assert pairs == [("s0", "B0"), ("s1", "B1"), ("s2", "B0"), ("s2", "B1")]
-    semi = polygon_join(rd.from_arrow(stream), small, mode="semi",
-                        concurrency=1).take_all()
+    semi = polygon_join(rd.from_arrow(stream), small, mode="semi").take_all()
     assert sorted(r["poly_id"] for r in semi) == ["s0", "s1", "s2"]
-    anti = polygon_join(rd.from_arrow(stream), small, mode="anti",
-                        concurrency=1).take_all()
+    anti = polygon_join(rd.from_arrow(stream), small, mode="anti").take_all()
     assert [r["poly_id"] for r in anti] == ["s3"]
 
 
 def test_nearest_join_brute_and_index_agree(ray_session):
     import ray.data as rd
-    from rasters_ray.stages.pip import NearestJoinStage, nearest_join
+    from rasters_ray.stages.pip import nearest_join
 
     rng = np.random.default_rng(17)
     ns = 400  # above brute_max -> GridNNIndex path
@@ -89,8 +86,7 @@ def test_nearest_join_brute_and_index_agree(ray_session):
         "crs": pa.array(["EPSG:32610"] * 300),
     })
     got = {r["point_id"]: r for r in
-           nearest_join(rd.from_arrow(pts), sites_big,
-                        concurrency=1).take_all()}
+           nearest_join(rd.from_arrow(pts), sites_big).take_all()}
     # brute-force reference
     sx = sites_big.column("x").to_numpy()
     sy = sites_big.column("y").to_numpy()
@@ -112,6 +108,5 @@ def test_nearest_join_brute_and_index_agree(ray_session):
     tie = pa.table({"point_id": pa.array(["t"], pa.string()),
                     "x": pa.array([1.0]), "y": pa.array([5.0]),
                     "crs": pa.array(["EPSG:32610"])})
-    r = nearest_join(rd.from_arrow(tie), sites_small,
-                     concurrency=1).take_all()[0]
+    r = nearest_join(rd.from_arrow(tie), sites_small).take_all()[0]
     assert r["site_id"] == "a"
