@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .covering import cell_ranges
+from .covering import cell_boxes, cell_ranges, cell_size
 
 MAX_LEVEL = 26
 _LEVEL_SHIFT = 56
@@ -66,13 +66,7 @@ def decode(cid) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def cell_bounds(cid) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """cell id(s) -> (xmin, ymin, xmax, ymax)."""
-    level, ix, iy = decode(cid)
-    n = (np.int64(1) << level).astype(np.float64)
-    w = 360.0 / n
-    h = 180.0 / n
-    xmin = -180.0 + ix * w
-    ymax = 90.0 - iy * h
-    return xmin, ymax - h, xmin + w, ymax
+    return cell_boxes(*decode(cid))
 
 
 def parent(cid, levels_up: int = 1) -> np.ndarray:
@@ -89,14 +83,17 @@ def covering_cells(
     """All cell ids at ``level`` intersecting the bbox (xmin, ymin, xmax, ymax).
 
     Handles antimeridian-crossing boxes (xmin > xmax) by splitting into two
-    ranges (the sign-split of raster_geometry.py:512-521)."""
+    ranges (the sign-split of raster_geometry.py:512-521); such a box
+    must start at or west of 180 and end at or east of -180."""
+    if not np.isfinite(bbox).all():
+        raise ValueError(f"covering_cells needs a finite bbox, got {bbox}")
     xmin, ymin, xmax, ymax = bbox
     if xmin > xmax:  # crosses the antimeridian
+        if xmin > 180.0 or xmax < -180.0:
+            raise ValueError(f"antimeridian-crossing bbox out of range: {bbox}")
         left = covering_cells(level, (xmin, ymin, 180.0, ymax))
         right = covering_cells(level, (-180.0, ymin, xmax, ymax))
         return np.unique(np.concatenate([left, right]))
-    if not np.isfinite(bbox).all():
-        raise ValueError(f"covering_cells needs a finite bbox, got {bbox}")
     ix0, ix1, iy0, iy1 = cell_ranges(level, xmin, ymin, xmax, ymax)
     ixs = np.arange(ix0, ix1 + 1, dtype=np.int64)
     iys = np.arange(iy0, iy1 + 1, dtype=np.int64)
@@ -135,7 +132,7 @@ def level_for_cell_size(cell_deg: float) -> int:
     """Coarsest level whose cell height <= cell_deg (for picking a tile
     level matched to image footprints)."""
     for level in range(MAX_LEVEL + 1):
-        if 180.0 / (1 << level) <= cell_deg:
+        if cell_size(level)[1] <= cell_deg:
             return level
     return MAX_LEVEL
 

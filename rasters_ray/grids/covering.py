@@ -1,13 +1,30 @@
-"""The covering rule: which cells of a level a box touches.
+"""The covering rule: which cells of a level a box touches, and where
+those cells lie.
 
-One array function behind ``cellkey.covering_cells`` (one box) and
+One set of array functions behind ``cellkey.covering_cells`` and
+``cellkey.cell_bounds`` (one box or id list) and
 ``stages.tiling.make_tiles`` (every image of a batch at once), so the
-two cannot drift apart.
+cell geometry is written down once and the paths cannot drift apart.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def cell_size(level):
+    """(width, height) in degrees of the cells at ``level`` (an int or an
+    int64 array)."""
+    n = (np.int64(1) << np.asarray(level, dtype=np.int64)).astype(np.float64)
+    return 360.0 / n, 180.0 / n
+
+
+def cell_boxes(level, ix, iy):
+    """(xmin, ymin, xmax, ymax) of the cells (level, ix, iy)."""
+    w, h = cell_size(level)
+    xmin = -180.0 + ix * w
+    ymax = 90.0 - iy * h
+    return xmin, ymax - h, xmin + w, ymax
 
 
 def cell_ranges(level: int, xmin, ymin, xmax, ymax):
@@ -16,8 +33,7 @@ def cell_ranges(level: int, xmin, ymin, xmax, ymax):
     numpy scalars for scalar input).  A box edge that falls exactly on a
     cell boundary does not reach into the next cell."""
     n = 1 << level
-    w = 360.0 / n
-    h = 180.0 / n
+    w, h = cell_size(level)
     ix0 = np.maximum(0, np.floor((xmin + 180.0) / w).astype(np.int64))
     ix1 = np.minimum(n - 1, np.floor((xmax + 180.0) / w - 1e-12).astype(np.int64))
     ix1 = np.maximum(ix1, ix0)

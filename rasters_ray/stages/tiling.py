@@ -27,7 +27,7 @@ import pyarrow as pa
 
 from .. import codec
 from ..grids import cellkey
-from ..grids.covering import cell_ranges
+from ..grids.covering import cell_boxes, cell_ranges
 from ..grids.windows import box_windows
 from ..sources.images import GRID_STRUCT
 
@@ -62,12 +62,12 @@ def make_tiles(batch: pa.Table, level: int, decode_pixels: bool = True) -> pa.Ta
     raster_grid.py:151-202).
 
     Assembly is fully array-at-a-time ACROSS images: the covering rule
-    (grids.covering.cell_ranges) and the window rule
+    (grids.covering.cell_ranges), the cell bounds
+    (grids.covering.cell_boxes) and the window rule
     (grids.windows.box_windows) are the same array functions the scalar
-    paths call; cell bounds (cellkey.cell_bounds) and the sub-grid origin
-    shift (GridSpec.subset) are per-tile numpy expressions over
-    ragged-expanded arrays whose float64 op ordering matches the scalar
-    paths bit for bit. The antimeridian SPLIT branch of covering_cells is
+    paths call; the sub-grid origin shift (GridSpec.subset) is a per-tile
+    numpy expression over ragged-expanded arrays whose float64 op
+    ordering matches the scalar path bit for bit. The antimeridian SPLIT branch of covering_cells is
     unreachable here: GridSpec.bbox always returns xmin <= xmax
     (straddlers clip at the world edge exactly as the per-image path
     did). Python touches only blob slicing (per-tile encode) and the
@@ -115,14 +115,11 @@ def make_tiles(batch: pa.Table, level: int, decode_pixels: bool = True) -> pa.Ta
     iy = np.repeat(iy0, cnt) + o // nx_t
     cid = (np.int64(level) << np.int64(56)) | (iy << np.int64(28)) | ix
 
-    # cell bounds (cellkey.cell_bounds) clipped to the image bbox
-    w = 360.0 / (1 << level)
-    h = 180.0 / (1 << level)
-    cxmin = -180.0 + ix * w
-    cymax = 90.0 - iy * h
+    # cell bounds clipped to the image bbox
+    cxmin, cymin, cxmax, cymax = cell_boxes(level, ix, iy)
     bx0 = np.maximum(cxmin, xmin[img])
-    by0 = np.maximum(cymax - h, ymin[img])
-    bx1 = np.minimum(cxmin + w, xmax[img])
+    by0 = np.maximum(cymin, ymin[img])
+    bx1 = np.minimum(cxmax, xmax[img])
     by1 = np.minimum(cymax, ymax[img])
 
     # window rule with per-tile grid params

@@ -107,12 +107,10 @@ def map_groups_typed(ds, keys, fn, out_schema):
     )
 
 
-# Broadcasts each worker process keeps deserialized.  The most one
-# pipeline reads at once is two (``ivf_topk``: the probe centroids and
-# ``cosine_topk``'s query matrix); four keeps a second such pipeline
-# sharing the worker resident too.  Every job ``ray.put``s new refs, so a
-# long-lived worker would otherwise keep every broadcast it ever read.
-FETCH_CACHE_SIZE = 4
+# Broadcasts each worker process keeps deserialized: the most one
+# pipeline reads at once (``ivf_topk``: the probe centroids and
+# ``cosine_topk``'s query matrix).
+FETCH_CACHE_SIZE = 2
 _FETCHED: OrderedDict = OrderedDict()
 _FETCH_LOCK = threading.Lock()  # threaded actors may share one worker
 

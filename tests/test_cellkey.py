@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rasters_ray.grids import cellkey
+from rasters_ray.grids import cellkey, covering
 
 
 def test_encode_decode_round_trip():
@@ -43,6 +43,26 @@ def test_covering_antimeridian():
     a = cellkey.cell_id(8, 179.9, 10.5)
     b = cellkey.cell_id(8, -179.9, 10.5)
     assert a in ids and b in ids
+
+
+def test_covering_rejects_boxes_it_cannot_cover():
+    for box in [
+        (np.inf, 10.0, 179.0, 11.0),
+        (-179.0, 10.0, -np.inf, 11.0),
+        (0.0, np.nan, 1.0, 11.0),
+        (180.5, 10.0, 179.0, 11.0),  # crosses the antimeridian from east of 180
+        (179.0, 10.0, -180.5, 11.0),  # ... and to west of -180
+    ]:
+        with pytest.raises(ValueError):
+            cellkey.covering_cells(8, box)
+
+
+def test_cell_bounds_match_covering_geometry():
+    ids = cellkey.covering_cells(7, (-10.3, -5.2, 12.9, 4.4))
+    xmin, ymin, xmax, ymax = cellkey.cell_bounds(ids)
+    w, h = covering.cell_size(7)
+    assert np.allclose(xmax - xmin, w) and np.allclose(ymax - ymin, h)
+    assert cellkey.level_for_cell_size(h) == 7
 
 
 def test_compact_covering_cell_budget():
