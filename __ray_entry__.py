@@ -244,14 +244,9 @@ def q_resample_nearest(sf_dir: str):
     # target shifted by half a SOURCE cell so every target center lands
     # exactly on a source center (nearest pick unambiguous: src[2r+1, 2c+1])
     target = GridSpec("EPSG:4326", QX0 + 0.005, QY0 - 0.005, 0.02, -0.02, 50, 50)
+    target_dict = {k: v for k, v in target.to_dict().items() if k != "type"}
     warped = _images_ds(sf_dir, 1).map_batches(
-        WarpStage,
-        fn_constructor_kwargs={
-            "target_dict": {k: v for k, v in target.to_dict().items() if k != "type"},
-            "method": "nearest",
-        },
-        batch_format="pyarrow",
-        concurrency=1,
+        WarpStage(target_dict, "nearest"), batch_format="pyarrow"
     )
 
     def explode(t: pa.Table) -> pa.Table:
@@ -304,14 +299,9 @@ def _q_resample_reduction(sf_dir: str, method: str):
     from rasters_ray.stages import WarpStage
 
     target = GridSpec("EPSG:4326", QX0, QY0, 0.02, -0.02, 50, 50)
+    target_dict = {k: v for k, v in target.to_dict().items() if k != "type"}
     warped = _images_ds(sf_dir, 1).map_batches(
-        WarpStage,
-        fn_constructor_kwargs={
-            "target_dict": {k: v for k, v in target.to_dict().items() if k != "type"},
-            "method": method,
-        },
-        batch_format="pyarrow",
-        concurrency=1,
+        WarpStage(target_dict, method), batch_format="pyarrow"
     )
     return _explode_rc_value(warped)
 
@@ -363,16 +353,13 @@ def q_warp_bands(sf_dir: str):
 
 def q_knn_resample(sf_dir: str):
     """Same shifted 2x-downscale as resample_nearest but through the kNN
-    actor path (GridNNIndex) — identical result, different engine."""
+    path (GridNNIndex) — identical result, different engine."""
     from rasters_ray.grids import GridSpec
     from rasters_ray.stages import KNNResampleStage
 
     target = GridSpec("EPSG:4326", QX0 + 0.005, QY0 - 0.005, 0.02, -0.02, 50, 50)
     warped = _images_ds(sf_dir, 1).map_batches(
-        KNNResampleStage,
-        fn_constructor_kwargs={"target_dict": target.to_dict()},
-        batch_format="pyarrow",
-        concurrency=1,
+        KNNResampleStage(target.to_dict()), batch_format="pyarrow"
     )
     return _explode_rc_value(warped)
 
@@ -1302,7 +1289,7 @@ def q_multimodal_decode(sf_dir: str):
 
     return (
         _images_ds(sf_dir, 8)
-        .map_batches(ImageDecodeStage, batch_format="pyarrow", concurrency=2)
+        .map_batches(ImageDecodeStage(), batch_format="pyarrow")
         .map_batches(
             lambda t: t.select(["image_id", "dec_h", "dec_w", "dec_mean"]),
             batch_format="pyarrow",
@@ -1316,10 +1303,7 @@ def q_multimodal_resize(sf_dir: str):
     from rasters_ray.multimodal import ImageResizeStage
 
     resized = _images_ds(sf_dir, 1).map_batches(
-        ImageResizeStage,
-        fn_constructor_kwargs={"out_h": 32, "out_w": 32},
-        batch_format="pyarrow",
-        concurrency=1,
+        ImageResizeStage(32, 32), batch_format="pyarrow"
     )
     return _explode_rc_value(resized)
 
@@ -3299,7 +3283,7 @@ def q_bm25(sf_dir: str):
 def q_multi_pattern(sf_dir: str):
     """Multi-pattern dictionary counting over documents
     (text/multipattern.py::MultiPatternStage): patterns compile once
-    per actor, matching is vectorized shifted-window byte equality over
+    on the driver, matching is vectorized shifted-window byte equality over
     a NUL-guarded batch concatenation.  Patterns are border-free
     (validated) so the SQL replace-count oracle equals the overlapping
     count."""

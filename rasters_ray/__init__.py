@@ -17,7 +17,7 @@ streaming Ray Data pipelines over zero-copy Arrow batches:
   GeoPackage tiles, GeoJSON, world-file image sinks, and the magic-byte
   ``open_raster`` router with mixed-format Ray ingest.
 - ``stages``   — Ray Data operators: tiling, point->cell join, PIP
-  broadcast join, kNN resample actor pool, composites (merge/mosaic),
+  broadcast join, kNN resample, composites (merge/mosaic),
   elementwise, focal/terrain/pyramid, zonal stats, colormap rendering.
 - ``state``    — broadcastable indexes (STR R-tree, uniform grid kNN index)
   and the sharded spill-to-disk streaming dedup index.

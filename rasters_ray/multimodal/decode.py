@@ -1,7 +1,7 @@
-"""Multimodal actor-pool stages: decode / resize / feature-extract /
+"""Multimodal batch stages: decode / resize / feature-extract /
 frame-sample over opaque binary columns.
 
-The Ray-side plumbing (schemas, actor signatures, batch sizing, output
+The Ray-side plumbing (schemas, stage signatures, batch sizing, output
 layout) is REAL and tested, and so are the codec bodies for every
 format parseable without external libraries: npy/png/qnt images and —
 as of round 4 — baseline JPEG (rasters_ray.codec.jpeg_codec, pure

@@ -5,8 +5,8 @@ The reference exposes its UDF surface through numpy-protocol hooks and
 function works on a Raster. The engine equivalent is compositional:
 
 - ``pipe(ds, *stages, **map_kw)`` chains batch-UDF stages, each either a
-  plain callable (stateless ``map_batches`` task) or a class (actor-pool
-  stage: built once per actor, called per batch);
+  plain callable or a class (built once on the driver, called per
+  batch); every stage runs as stateless ``map_batches`` tasks;
 - ``pixel_udf(fn)`` turns a unary ndarray function into such a stage
   (decode -> fn -> re-encode), mirroring the lifted-numpy surface;
 - geometry codecs (GridSpec/SwathSpec from_dict/to_dict) are the plugin
@@ -35,14 +35,11 @@ def pixel_udf(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
 
 def pipe(ds, *stages, **map_kw):
     """Chain batch-UDF stages over a Dataset: ``pipe(ds, f, g, Cls)`` ==
-    ``ds.map_batches(f).map_batches(g).map_batches(Cls, concurrency=...)``.
-    Classes become actor-pool stages (state built once per actor); plain
-    callables become stateless task stages. ``map_kw`` applies to every
+    ``ds.map_batches(f).map_batches(g).map_batches(Cls())``.  A class is
+    instantiated once on the driver; every stage runs as stateless tasks,
+    so no CPU is reserved for an actor pool. ``map_kw`` applies to every
     stage (batch_format defaults to pyarrow)."""
     map_kw.setdefault("batch_format", "pyarrow")
     for stage in stages:
-        kw = dict(map_kw)
-        if inspect.isclass(stage):
-            kw.setdefault("concurrency", 2)
-        ds = ds.map_batches(stage, **kw)
+        ds = ds.map_batches(stage() if inspect.isclass(stage) else stage, **map_kw)
     return ds

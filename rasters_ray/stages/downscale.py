@@ -21,15 +21,8 @@ from .resample import WarpStage
 
 
 def _upsample_to(coarse_ds, target: GridSpec, method: str = "bilinear"):
-    return coarse_ds.map_batches(
-        WarpStage,
-        fn_constructor_kwargs={
-            "target_dict": {k: v for k, v in target.to_dict().items() if k != "type"},
-            "method": method,
-        },
-        batch_format="pyarrow",
-        concurrency=2,
-    )
+    target_dict = {k: v for k, v in target.to_dict().items() if k != "type"}
+    return coarse_ds.map_batches(WarpStage(target_dict, method), batch_format="pyarrow")
 
 
 def linear_downscale(coarse_ds, fine_ds, fine_grid: GridSpec, key: str = "image_id",

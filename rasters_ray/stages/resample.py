@@ -8,8 +8,8 @@
   (Catmull-Rom). Pure numpy per image, stateless map_batches.
 - ``KNNResampler``: the stateful kNN stage (KDTree analog,
   kdtree.py:52-202): a neighbor index per (source, target) geometry pair
-  built ONCE per actor and cached; resample = vectorized gather with the
-  radius_of_influence fill rule (out-of-radius -> fill_value,
+  built ONCE per resampler instance and cached; resample = vectorized
+  gather with the radius_of_influence fill rule (out-of-radius -> fill_value,
   kdtree.py:298-308). radius defaults to 2.0 x max(cell_size_meters)
   (kdtree.py:27,167-179: the class-local 2.0 shadows the module constant 3).
 """
@@ -413,10 +413,10 @@ def _spec_from_dict(d: Dict):
 class KNNResampler:
     """Stateful kNN nearest-neighbor resampler between two geometries.
 
-    Index built once per (source, target) pair and cached per actor —
+    Index built once per (source, target) pair and cached per instance —
     the KDTree.save/load amortization of the reference (kdtree.py:227-255)
-    becomes actor-held state, with an optional npz spill directory so a
-    restarted actor (or a later run) reloads instead of rebuilding.
+    becomes instance state, with an optional npz spill directory so a
+    new worker (or a later run) reloads instead of rebuilding.
     """
 
     def __init__(self, radius_factor: float = RADIUS_FACTOR, spill_dir: Optional[str] = None):
@@ -513,7 +513,7 @@ def utm_target_grid(grid: GridSpec, cell_size_m: float) -> GridSpec:
     return GridSpec.from_bbox(box, cell_size_m, crs=utm)
 
 
-def reproject(images_ds, cell_size_m: float, method: str = "nearest", concurrency: int = 2):
+def reproject(images_ds, cell_size_m: float, method: str = "nearest"):
     """Per-image reprojection onto each image's own local-UTM grid.
     Stateless map_batches (target derived per row, not broadcast)."""
 
@@ -543,7 +543,8 @@ def reproject(images_ds, cell_size_m: float, method: str = "nearest", concurrenc
 
 
 class KNNResampleStage:
-    """Actor-pool form: rows carry (bytes, fmt, grid); target broadcast."""
+    """map_batches stage: rows carry (bytes, fmt, grid); the target
+    geometry is a constructor argument."""
 
     def __init__(self, target_dict: Dict, fill_value: float = np.nan,
                  radius_factor: float = RADIUS_FACTOR):

@@ -181,22 +181,11 @@ def to_geometry(images_ds, target, **kw):
     from .resample import KNNResampleStage, WarpStage
 
     if isinstance(target, GridSpec):
-        return images_ds.map_batches(
-            WarpStage,
-            fn_constructor_kwargs={
-                "target_dict": {k: v for k, v in target.to_dict().items() if k != "type"},
-                "method": kw.pop("method", "nearest"),
-            },
-            batch_format="pyarrow",
-            concurrency=kw.pop("concurrency", 2),
-        )
+        target_dict = {k: v for k, v in target.to_dict().items() if k != "type"}
+        stage = WarpStage(target_dict, kw.pop("method", "nearest"))
+        return images_ds.map_batches(stage, batch_format="pyarrow")
     if isinstance(target, SwathSpec):
-        return images_ds.map_batches(
-            KNNResampleStage,
-            fn_constructor_kwargs={"target_dict": target.to_dict()},
-            batch_format="pyarrow",
-            concurrency=kw.pop("concurrency", 2),
-        )
+        return images_ds.map_batches(KNNResampleStage(target.to_dict()), batch_format="pyarrow")
     if isinstance(target, pa.Table):
         return sample_points(images_ds, target, **kw)
     raise TypeError(f"unsupported target: {type(target)}")

@@ -225,20 +225,16 @@ class CrosstabStage:
         )
 
 
-def crosstab_images(images_ds, classify, concurrency=None):
+def crosstab_images(images_ds, classify):
     """Distributed Tabulate Area: Dataset[(zone, klass, n_px)] over every
     raster in ``images_ds``.  ``classify`` maps a decoded 2-D array to the
     (zone_codes, class_codes) integer layers; partial contingency tables
     combine inside map_batches and a low-cardinality multi-key groupby
-    finishes — pixels never cross the shuffle."""
+    finishes — pixels never cross the shuffle.  The stage runs as
+    stateless tasks, so it needs no CPU reserved for an actor pool."""
     from ray.data.aggregate import Sum
 
-    partials = images_ds.map_batches(
-        CrosstabStage,
-        fn_constructor_kwargs={"classify": classify},
-        batch_format="pyarrow",
-        concurrency=concurrency or 4,
-    )
+    partials = images_ds.map_batches(CrosstabStage(classify), batch_format="pyarrow")
     return partials.groupby(["zone", "klass"]).aggregate(
         Sum("pcnt", alias_name="n_px")
     )

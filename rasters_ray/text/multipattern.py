@@ -1,10 +1,10 @@
-"""Multi-pattern substring counting as a stateful actor stage.
+"""Multi-pattern substring counting as a stateless task stage.
 
 The training-data use case: count occurrences of a fixed dictionary of
 phrases (PII markers, boilerplate, contamination probes) across a
-document corpus.  The stage is a callable CLASS for
-``map_batches(cls, concurrency=N)``: pattern byte arrays compile once
-per actor in ``__init__``; ``__call__`` concatenates the batch's
+document corpus.  The stage is a callable object passed to
+``map_batches`` as a task: pattern byte arrays compile once on the
+driver in ``__init__``; ``__call__`` concatenates the batch's
 documents with NUL guards and counts every pattern by vectorized
 shifted-window equality (L boolean ANDs of byte shifts per pattern —
 no per-character Python automaton walk; an Aho-Corasick trie is the
@@ -38,8 +38,8 @@ def assert_border_free(pattern: str) -> None:
 
 
 class MultiPatternStage:
-    """map_batches actor: documents -> (doc id, pattern, n) rows with
-    n > 0.  ``patterns`` compile once per actor."""
+    """map_batches stage: documents -> (doc id, pattern, n) rows with
+    n > 0.  ``patterns`` compile once, in the constructor."""
 
     def __init__(self, patterns: list[str], id_col: str = "doc_id",
                  text_col: str = "text"):
@@ -93,16 +93,12 @@ class MultiPatternStage:
 
 
 def multi_pattern_counts(docs_ds, patterns: list[str],
-                         id_col: str = "doc_id", text_col: str = "text",
-                         concurrency: int = 2):
-    """Dataset[docs] -> Dataset[(id, pattern, n)] via the actor stage.
+                         id_col: str = "doc_id", text_col: str = "text"):
+    """Dataset[docs] -> Dataset[(id, pattern, n)] via the task stage.
     Patterns are validated border-free so replace-count oracles agree."""
     for p in patterns:
         assert_border_free(p)
     return docs_ds.map_batches(
-        MultiPatternStage,
+        MultiPatternStage(patterns, id_col=id_col, text_col=text_col),
         batch_format="pyarrow",
-        concurrency=concurrency,
-        fn_constructor_kwargs={"patterns": patterns, "id_col": id_col,
-                               "text_col": text_col},
     )

@@ -7,8 +7,11 @@ path). On a real cluster:
 The script connects to the cluster it runs on (RAY_ADDRESS is injected
 by the job server; `ray.init()` with no address attaches), runs the
 partitioned, checkpoint-resumable flagship pipeline and prints one JSON
-line of per-partition metrics. Standalone (no job server, e.g. this
-sandbox) it starts a local session instead — same code path.
+line of per-partition metrics. The job reads the input table once, in
+one streaming execution that routes each tile to its image-id hash
+partition; the partitions are committed after that execution, so a
+rerun skips the committed ones and redoes the rest. Standalone (no job
+server) it starts a local session instead — same code path.
 """
 
 from __future__ import annotations
@@ -44,9 +47,6 @@ def main() -> int:
     import ray.data as rd
 
     from rasters_ray.pipelines import run_flagship_partitioned
-    from rasters_ray.sources import images_dataset
-
-    import pyarrow.compute as pc
 
     if args.input:
         import pyarrow.dataset as pads
@@ -54,14 +54,8 @@ def main() -> int:
         total = pads.dataset(args.input).count_rows()
 
         def make_images_ds(lo: int, hi: int):
-            # partitions are contiguous image_id ranges ("imgNNNNNNNN")
-            def cut(t):
-                ids = pc.utf8_slice_codeunits(t.column("image_id"), 3, 11)
-                num = pc.cast(ids, "int64")
-                keep = pc.and_(pc.greater_equal(num, lo), pc.less(num, hi))
-                return t.filter(keep)
-
-            return rd.read_parquet(args.input).map_batches(cut, batch_format="pyarrow")
+            # the job calls the feed once, for the whole table [0, total)
+            return rd.read_parquet(args.input)
 
     else:
         total = args.n_images

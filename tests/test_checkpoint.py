@@ -135,6 +135,137 @@ def test_flagship_partitioned_resume(tmp_path, ray_session):
     assert total_rows == sum(r["row_count"] for r in rows)
 
 
+def _oracle_feed(total, bad_id=None):
+    """``make_images_ds`` over the oracle images; ``bad_id``'s bytes do
+    not decode, so tiling that image raises."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from rasters_ray.sources import make_oracle_images
+
+    def make_images_ds(lo, hi):
+        t = make_oracle_images(np.arange(lo, hi))
+        if bad_id is not None:
+            blobs = t.column("bytes").to_pylist()
+            blobs[bad_id - lo] = b"not an image"
+            t = t.set_column(t.column_names.index("bytes"), "bytes", pa.array(blobs, pa.binary()))
+        return rd.from_arrow(t)
+
+    make_images_ds.total = total
+    return make_images_ds
+
+
+def _partition_tables(root):
+    """partition_id -> its tiles, order-free (sorted by tile_id); an
+    empty partition's directory holds no file."""
+    import pyarrow.dataset as pads
+
+    out = {}
+    for d in sorted(os.listdir(root)):
+        if d.startswith("part-"):
+            t = pads.dataset(os.path.join(root, d)).to_table()
+            out[d] = t.sort_by("tile_id") if t.num_rows else t
+    return out
+
+
+def test_flagship_hash_partitions_count_exactly(tmp_path, ray_session):
+    """n_partitions manifest rows whatever the input size; together they
+    hold every tile of a plain tile_images run."""
+    from rasters_ray.pipelines.flagship import run_flagship_partitioned
+    from rasters_ray.stages import tile_images
+
+    feed = _oracle_feed(10)
+    rows = run_flagship_partitioned(feed, str(tmp_path / "t"), n_partitions=4, level=9)
+    assert [r["partition_id"] for r in rows] == [f"part-{k:05d}" for k in range(4)]
+    assert [r["inputs"] for r in rows] == [
+        [{"hash": "image_id", "part": k, "of": 4}] for k in range(4)
+    ]
+    assert sum(r["row_count"] for r in rows) == tile_images(feed(0, 10), level=9).count()
+    # more partitions than images: empty buckets still get a directory and a row
+    rows = run_flagship_partitioned(_oracle_feed(3), str(tmp_path / "s"), n_partitions=4, level=9)
+    assert len(rows) == 4 and sorted(r["row_count"] for r in rows)[0] == 0
+    assert len(_partition_tables(str(tmp_path / "s"))) == 4
+
+
+def test_flagship_resume_rejects_other_partition_count(tmp_path, ray_session):
+    from rasters_ray.pipelines.flagship import run_flagship_partitioned
+
+    root = str(tmp_path / "tiles")
+    feed = _oracle_feed(8)
+    rows = run_flagship_partitioned(feed, root, n_partitions=4, level=9)
+    before = sum(t.num_rows for t in _partition_tables(root).values())
+    assert before == sum(r["row_count"] for r in rows)
+    with pytest.raises(ValueError, match="part-00000.*'of': 4.*'of': 8"):
+        run_flagship_partitioned(feed, root, n_partitions=8, level=9)
+    assert sum(t.num_rows for t in _partition_tables(root).values()) == before
+
+
+def test_flagship_resume_redoes_only_lost_partitions(tmp_path, ray_session):
+    from rasters_ray.pipelines.flagship import run_flagship_partitioned
+
+    feed = _oracle_feed(8)
+    clean = str(tmp_path / "clean")
+    run_flagship_partitioned(feed, clean, n_partitions=4, level=9)
+    root = str(tmp_path / "tiles")
+    rows = run_flagship_partitioned(feed, root, n_partitions=4, level=9)
+    lost = {"part-00001", "part-00002"}
+    for pid in lost:
+        os.remove(os.path.join(root, "_manifest", f"{pid}.json"))
+        shutil.rmtree(os.path.join(root, pid))
+    rows2 = run_flagship_partitioned(feed, root, n_partitions=4, level=9)
+    for r, r2 in zip(rows, rows2):
+        assert (r["finished_at"] != r2["finished_at"]) == (r["partition_id"] in lost)
+        assert r["row_count"] == r2["row_count"]
+    assert _partition_tables(root) == _partition_tables(clean)
+
+
+def test_flagship_failed_execution_commits_nothing(tmp_path, ray_session):
+    from rasters_ray.pipelines.flagship import run_flagship_partitioned
+
+    root = str(tmp_path / "tiles")
+    with pytest.raises(Exception):
+        run_flagship_partitioned(_oracle_feed(8, bad_id=5), root, n_partitions=4, level=9)
+    assert checkpoint.completed_partitions(root) == {}
+    assert not [d for d in os.listdir(root) if d.startswith("part-")]
+    clean = str(tmp_path / "clean")
+    run_flagship_partitioned(_oracle_feed(8), clean, n_partitions=4, level=9)
+    run_flagship_partitioned(_oracle_feed(8), root, n_partitions=4, level=9)
+    assert _partition_tables(root) == _partition_tables(clean)
+
+
+def test_partition_sink_retried_task_does_not_duplicate(tmp_path):
+    """A write task that is retried after writing its files rewrites the
+    same files; the committed row counts match the data on disk once."""
+    import numpy as np
+    from ray.data._internal.execution.interfaces import TaskContext
+    from ray.data.datasource.datasink import WriteResult
+
+    from rasters_ray.pipelines.flagship import PartitionSink
+    from rasters_ray.sources import make_oracle_images
+    from rasters_ray.stages import make_tiles
+
+    tiles = make_tiles(make_oracle_images(np.arange(8)), level=9)
+    root = str(tmp_path / "tiles")
+    parts = [{"partition_id": f"part-{k:05d}"} for k in range(4)]
+    _, pending = checkpoint.pending_partitions(root, parts)
+    sink = PartitionSink(root, 4)
+    ctx = TaskContext(task_idx=3, op_name="Write")
+    first = sink.write([tiles.slice(0, 40), tiles.slice(40)], ctx)
+    retry = sink.write([tiles.slice(0, 40), tiles.slice(40)], ctx)
+    assert first.keys() == retry.keys()
+    sink.on_write_complete(WriteResult(0, 0, [first, retry]))
+    rows = [
+        checkpoint.commit_partition(root, p, sink.totals.get(k, (0, 0))[0], 1.0)
+        for k, p in enumerate(pending)
+    ]
+    assert sum(r["row_count"] for r in rows) == tiles.num_rows
+    on_disk = _partition_tables(root)
+    assert sum(t.num_rows for t in on_disk.values()) == tiles.num_rows
+    for r in rows:
+        assert r["row_count"] == on_disk[r["partition_id"]].num_rows
+
+
 def test_zone_map_pruning(ray_session, tmp_path):
     """Partition stats in the manifest skip non-overlapping partitions at
     read time; the pruned read equals the filtered full scan."""

@@ -61,6 +61,56 @@ def test_crosstab_images_distributed(ray_session):
         assert exp[(row["zone"], row["klass"])] == row["n_px"]
 
 
+_CROSSTAB_1CPU = """
+import json
+import numpy as np
+import ray
+import ray.data as rd
+
+from rasters_ray.sources.images import make_oracle_images
+from rasters_ray.stages import crosstab_images
+
+ray.init(address="local", num_cpus=1, include_dashboard=False)
+rd.DataContext.get_current().enable_progress_bars = False
+
+def classify(arr):
+    v = np.rint(arr).astype(np.int64)
+    return v // 51, v % 7
+
+got = crosstab_images(rd.from_arrow(make_oracle_images(np.arange(4))), classify).to_pandas()
+print(json.dumps([[int(z), int(k), int(n)] for z, k, n in got[["zone", "klass", "n_px"]].to_numpy()]))
+ray.shutdown()
+"""
+
+
+def test_crosstab_images_one_cpu_session():
+    """The crosstab stage reserves no actor pool, so it finishes in a
+    session with one CPU (a fixed pool of 4 actors could never start)."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    from rasters_ray.sources.images import oracle_pixels
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo)
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.run([sys.executable, "-c", _CROSSTAB_1CPU], cwd=repo, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "may hang forever" not in proc.stdout + proc.stderr
+    got = {(z, k): n for z, k, n in json.loads(proc.stdout.strip().splitlines()[-1])}
+    exp = {}
+    for d in range(4):
+        v = oracle_pixels(d).astype(np.int64)
+        for z, k in zip((v // 51).ravel(), (v % 7).ravel()):
+            exp[(int(z), int(k))] = exp.get((int(z), int(k)), 0) + 1
+    assert got == exp
+
+
 def test_zonal_categorical_bruteforce(ray_session):
     import numpy as np
     import pyarrow as pa
