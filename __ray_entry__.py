@@ -87,16 +87,18 @@ def _points_ds(sf_dir: str):
 
 
 def _images_ds(sf_dir: str, n: int):
-    """Oracle-profile images keyed by documents.doc_id < n."""
+    """Oracle-profile images keyed by documents.doc_id < n.  The filter
+    runs inside the read, so no read block comes out empty (an empty
+    block through a chain of map_batches leaves a zero-column block)."""
     import pyarrow.compute as pc
+    import ray.data as rd
 
     from rasters_ray.sources.images import make_oracle_images
 
-    docs = _read(sf_dir, "documents", ["doc_id"])
+    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"],
+                           filter=pc.field("doc_id") < n)
     return docs.map_batches(
-        lambda t: make_oracle_images(
-            t.column("doc_id").to_numpy()[t.column("doc_id").to_numpy() < n]
-        ),
+        lambda t: make_oracle_images(t.column("doc_id").to_numpy()),
         batch_format="pyarrow",
     )
 

@@ -11,10 +11,12 @@ Reference semantics (SURVEY.md §2.5):
 Ray Data shapes:
 - ``partial_lattice_sums`` + ``merge_mean_lattice``: the scalar two-phase
   aggregation — per-batch partial (sum, count) per global-lattice pixel
-  (combiner), then one small ``groupby().aggregate()`` — the canonical
-  partial+final pattern that keeps the all-to-all exchange to unique keys
-  instead of raw pixels. Sums stay int64-exact so results are
-  order-independent (float summation order varies across parallel runs).
+  (combiner), then one hash exchange (``util.exchange``) whose partitions
+  combine vectorized — the canonical partial+final pattern that keeps
+  the all-to-all exchange to unique keys instead of raw pixels. The
+  first- and best-valid mosaics share this shape. Sums stay int64-exact
+  so results are order-independent (float summation order varies
+  across parallel runs).
 - ``composite_cells``: raster-out composite: tiles grouped by cell_key,
   per-group numpy accumulation onto the cell's lattice grid, with optional
   SALTING for hot cells (two-phase groupby: (cell_key, salt) partial ->
@@ -30,7 +32,7 @@ import pyarrow as pa
 
 from .. import codec
 from ..grids import GridSpec, cellkey
-from ..util import map_groups_typed
+from ..util import exchange
 
 LATTICE_PARTIAL_SCHEMA = pa.schema(
     [
@@ -110,27 +112,16 @@ def partial_lattice_sums(batch: pa.Table, cell_size: float) -> pa.Table:
     )
 
 
-N_LATTICE_PARTS = 64  # hash partitions for the final lattice combine
+def merge_mean_lattice(images_ds, cell_size: float, batch_size: int = 32):
+    """Two-phase merge: map_batches partial (combiner) -> one hash
+    exchange on (gx, gy) (``util.exchange``) -> vectorized final combine.
+    Returns Dataset[(gx, gy, sum_value, n_value)] with exact int64 sums;
+    mean = sum/n downstream (kept integral for order-independence).
 
-
-def _add_lattice_part(t: pa.Table, n_parts: int) -> pa.Table:
-    gx = t.column("gx").to_numpy()
-    gy = t.column("gy").to_numpy()
-    part = ((gy << 32) | gx) % n_parts
-    return t.append_column("_part", pa.array(part, pa.int64()))
-
-
-def merge_mean_lattice(images_ds, cell_size: float, batch_size: int = 32,
-                       n_parts: int = N_LATTICE_PARTS):
-    """Two-phase merge: map_batches partial (combiner) -> hash-partitioned
-    vectorized final combine. Returns Dataset[(gx, gy, sum_value,
-    n_value)] with exact int64 sums; mean = sum/n downstream (kept
-    integral for order-independence).
-
-    The final reduce groups by a HASH PARTITION of the key, not the key
-    itself: Ray's groupby().aggregate() walks groups in Python, which at
-    lattice cardinality (one group per pixel) costs ~200 us/group; one
-    np.unique + np.add.at per partition combines the same rows at memory
+    The final combine runs once per exchange PARTITION, not per key:
+    Ray's groupby().aggregate() walks groups in Python, which at lattice
+    cardinality (one group per pixel) costs ~200 us/group; one np.unique
+    + np.add.at per partition combines the same rows at memory
     bandwidth."""
     partials = images_ds.map_batches(
         lambda t: partial_lattice_sums(t, cell_size),
@@ -160,10 +151,7 @@ def merge_mean_lattice(images_ds, cell_size: float, batch_size: int = 32,
         [("gx", pa.int64()), ("gy", pa.int64()),
          ("sum_value", pa.int64()), ("n_value", pa.int64())]
     )
-    return map_groups_typed(
-        partials.map_batches(lambda t: _add_lattice_part(t, n_parts), batch_format="pyarrow"),
-        "_part", combine, out_schema,
-    )
+    return exchange(partials, ["gx", "gy"], combine, out_schema)
 
 
 def partial_lattice_first(batch: pa.Table, cell_size: float, order_col: str = "order") -> pa.Table:
@@ -214,11 +202,12 @@ def partial_lattice_first(batch: pa.Table, cell_size: float, order_col: str = "o
 
 
 def mosaic_first_lattice(images_ds, cell_size: float, order_col: str = "order",
-                         batch_size: int = 32, n_parts: int = N_LATTICE_PARTS):
-    """Two-phase mosaic: partial packed-min per batch -> hash-partitioned
-    vectorized min combine -> unpack value. Returns Dataset[(gx, gy,
-    value)] (int64). (Same partition-wise final as merge_mean_lattice —
-    per-pixel groupby().aggregate() is Python-loop bound.)"""
+                         batch_size: int = 32):
+    """Two-phase mosaic: partial packed-min per batch -> one hash exchange
+    on (gx, gy) -> vectorized min combine per partition -> unpack value.
+    Returns Dataset[(gx, gy, value)] (int64). (Same partition-wise final
+    as merge_mean_lattice — per-pixel groupby().aggregate() is
+    Python-loop bound.)"""
     partials = images_ds.map_batches(
         lambda t: partial_lattice_first(t, cell_size, order_col),
         batch_format="pyarrow",
@@ -243,10 +232,7 @@ def mosaic_first_lattice(images_ds, cell_size: float, order_col: str = "order",
     out_schema = pa.schema(
         [("gx", pa.int64()), ("gy", pa.int64()), ("value", pa.int64())]
     )
-    return map_groups_typed(
-        partials.map_batches(lambda t: _add_lattice_part(t, n_parts), batch_format="pyarrow"),
-        "_part", combine, out_schema,
-    )
+    return exchange(partials, ["gx", "gy"], combine, out_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +570,10 @@ def partial_lattice_best(batch: pa.Table, cell_size: float,
 
 def mosaic_best_lattice(images_ds, cell_size: float, order_col: str = "order",
                         quality_col: str = "quality",
-                        batch_size: int = 32, n_parts: int = N_LATTICE_PARTS):
+                        batch_size: int = 32):
     """Two-phase argmax-quality composite -> Dataset[(gx, gy, value,
-    win_order)] — partial packed-max per batch, hash-partitioned
-    vectorized max combine, unpack."""
+    win_order)] — partial packed-max per batch, one hash exchange on
+    (gx, gy), vectorized max combine per partition, unpack."""
     partials = images_ds.map_batches(
         lambda t: partial_lattice_best(t, cell_size, order_col, quality_col),
         batch_format="pyarrow",
@@ -614,8 +600,4 @@ def mosaic_best_lattice(images_ds, cell_size: float, order_col: str = "order",
         [("gx", pa.int64()), ("gy", pa.int64()),
          ("value", pa.int64()), ("win_order", pa.int64())]
     )
-    return map_groups_typed(
-        partials.map_batches(lambda t: _add_lattice_part(t, n_parts),
-                             batch_format="pyarrow"),
-        "_part", combine, out_schema,
-    )
+    return exchange(partials, ["gx", "gy"], combine, out_schema)

@@ -12,9 +12,9 @@ Re-expresses the reference's geometry lookups as Ray Data join patterns
   once per image and gather values — the engine's
   ``Raster.open(geometry=MultiPoint)`` / ``to_point``
   (raster.py:670-711, raster.py:1295-1322).
-- missed points (no image contains them) become NaN rows through a
-  fused anti-join shuffle — the reference's OOB->NaN semantics
-  (raster.py:701-703).
+- missed points (no image contains them) become NaN rows through one
+  fused anti-join exchange (``util.exchange``, one part per cluster CPU)
+  — the reference's OOB->NaN semantics (raster.py:701-703).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pyarrow as pa
 from .. import codec
 from ..grids import GridSpec, cellkey
 from ..proj import transform_xy
-from ..util import fetch, hash_parts, map_groups_typed
+from ..util import exchange, fetch
 
 JOIN_SCHEMA = pa.schema(
     [
@@ -169,15 +169,16 @@ def sample_points(
     if not include_misses:
         return matched
 
-    # anti-join FUSED into one shuffle: union(matched rows, one marker row
-    # per point) -> groupby(hash partition of point_id). Inside each
-    # partition (vectorized, no per-key Python) the matched rows pass
-    # through unchanged and markers whose point_id never matched emit the
-    # NaN miss row (raster.py:701-703 semantics). The sampling stage
-    # executes exactly ONCE, nothing is materialized, and no id set ever
-    # reaches the driver — the distributed form of a left-anti join
-    # (relational/joins.py machinery, specialised so the matched stream is
-    # consumed a single time).
+    # anti-join FUSED into one exchange: union(matched rows, one marker
+    # row per point), hash-exchanged on point_id (``util.exchange``: one
+    # part per cluster CPU; on one CPU a single block with no hash tag and
+    # no sort). Inside each part (vectorized, no per-key Python) the
+    # matched rows pass through unchanged and markers whose point_id never
+    # matched emit the NaN miss row (raster.py:701-703 semantics). The
+    # sampling stage executes exactly ONCE, nothing is materialized, and
+    # no id set ever reaches the driver — the distributed form of a
+    # left-anti join, specialised so the matched stream is consumed a
+    # single time.
     import pyarrow.compute as pc
 
     n_pts = points.num_rows
@@ -192,19 +193,8 @@ def sample_points(
         ],
         schema=JOIN_SCHEMA,
     )
-    n_parts = 64
-
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_jp", pa.array(hash_parts(t.column("point_id"), n_parts), pa.int64())
-        )
-
-    union = matched.map_batches(tag, batch_format="pyarrow").union(
-        rd.from_arrow(marker).map_batches(tag, batch_format="pyarrow")
-    )
 
     def finish(part: pa.Table) -> pa.Table:
-        part = part.drop_columns(["_jp"])
         valid = pc.is_valid(part.column("inside"))
         real = part.filter(valid)
         markers = part.filter(pc.invert(valid))
@@ -230,4 +220,4 @@ def sample_points(
         )
         return pa.concat_tables([real, miss_tbl])
 
-    return map_groups_typed(union, "_jp", finish, JOIN_SCHEMA)
+    return exchange(matched.union(rd.from_arrow(marker)), "point_id", finish, JOIN_SCHEMA)

@@ -25,7 +25,7 @@ import pyarrow as pa
 
 from .. import codec
 from ..grids import GridSpec
-from ..util import fetch
+from ..util import exchange, fetch
 
 ZONES_SCHEMA = pa.schema(
     [
@@ -188,14 +188,35 @@ def zonal_categorical(images_ds, zones: pa.Table):
     return pairs.groupby("zone_id").map_groups(finish, batch_format="pandas")
 
 
+CROSSTAB_SCHEMA = pa.schema(
+    [("zone", pa.int64()), ("klass", pa.int64()), ("n_px", pa.int64())]
+)
+
+
+def _sum_crosstabs(part: pa.Table) -> pa.Table:
+    """Sum the counts of each (zone, klass) pair in a table of crosstab
+    rows: one np.unique over the packed pair, one np.add.at."""
+    z = part.column("zone").to_numpy()
+    k = part.column("klass").to_numpy()
+    width = int(k.max()) + 1 if k.size else 1
+    uniq, inv = np.unique(z * width + k, return_inverse=True)
+    n = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(n, inv, part.column("n_px").to_numpy())
+    return pa.table(
+        [pa.array(uniq // width, pa.int64()), pa.array(uniq % width, pa.int64()),
+         pa.array(n, pa.int64())],
+        schema=CROSSTAB_SCHEMA,
+    )
+
+
 class CrosstabStage:
     """map_batches combiner for the distributed crosstab: each batch of
     encoded rasters is decoded, ``classify(arr) -> (zones, classes)``
-    derives the two co-registered categorical layers, and the local
-    contingency counts are accumulated into ONE packed bincount per
-    batch.  The partial payload is distinct (zone, klass) pairs — never
-    pixels — so the finishing groupby is tiny regardless of raster
-    size (same partial-aggregate shape as zonal_stats)."""
+    derives the two co-registered categorical layers, and the per-image
+    contingency tables are summed into one partial per batch.  The
+    partial payload is distinct (zone, klass) pairs — never pixels — so
+    the finishing exchange is tiny regardless of raster size (same
+    partial-aggregate shape as zonal_stats)."""
 
     def __init__(self, classify):
         self.classify = classify
@@ -203,41 +224,21 @@ class CrosstabStage:
     def __call__(self, batch: pa.Table) -> pa.Table:
         fmts = batch.column("fmt").to_pylist()
         blobs = codec.BlobReader(batch.column("bytes"))
-        acc: dict = {}
-        for i in range(batch.num_rows):
-            arr = codec.decode(blobs[i], fmts[i])
-            z, c = self.classify(arr)
-            part = crosstab(z, c)
-            for zz, kk, nn in zip(
-                part.column("zone").to_numpy(),
-                part.column("klass").to_numpy(),
-                part.column("n_px").to_numpy(),
-            ):
-                key = (int(zz), int(kk))
-                acc[key] = acc.get(key, 0) + int(nn)
-        keys = sorted(acc)
-        return pa.table(
-            {
-                "zone": pa.array([k[0] for k in keys], pa.int64()),
-                "klass": pa.array([k[1] for k in keys], pa.int64()),
-                "pcnt": pa.array([acc[k] for k in keys], pa.int64()),
-            }
-        )
+        parts = [crosstab(*self.classify(codec.decode(blobs[i], fmts[i])))
+                 for i in range(batch.num_rows)]
+        return _sum_crosstabs(pa.concat_tables(parts) if parts else CROSSTAB_SCHEMA.empty_table())
 
 
 def crosstab_images(images_ds, classify):
     """Distributed Tabulate Area: Dataset[(zone, klass, n_px)] over every
     raster in ``images_ds``.  ``classify`` maps a decoded 2-D array to the
     (zone_codes, class_codes) integer layers; partial contingency tables
-    combine inside map_batches and a low-cardinality multi-key groupby
-    finishes — pixels never cross the shuffle.  The stage runs as
-    stateless tasks, so it needs no CPU reserved for an actor pool."""
-    from ray.data.aggregate import Sum
-
+    combine inside map_batches and one hash exchange on (zone, klass)
+    (``util.exchange``) finishes with a vectorized sum per partition —
+    pixels never cross the exchange.  The stage runs as stateless tasks,
+    so it needs no CPU reserved for an actor pool."""
     partials = images_ds.map_batches(CrosstabStage(classify), batch_format="pyarrow")
-    return partials.groupby(["zone", "klass"]).aggregate(
-        Sum("pcnt", alias_name="n_px")
-    )
+    return exchange(partials, ["zone", "klass"], _sum_crosstabs, CROSSTAB_SCHEMA)
 
 
 def crosstab(zones: np.ndarray, classes: np.ndarray) -> pa.Table:

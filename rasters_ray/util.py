@@ -11,35 +11,39 @@ _FIB_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
 
 
 def hash_parts(values, n_parts: int) -> np.ndarray:
-    """Hash partition (0..n_parts) of an id array — vectorized Fibonacci
-    mix for integer ids, per-value crc32 fallback for strings/other.
+    """Hash partition (0..n_parts) of an id array (``hash_u64`` mod
+    ``n_parts``).
 
     Shared by every union+groupby shuffle in the repo (dedup joins,
     relational joins) so co-partitioning keys across stages is guaranteed
     to agree."""
-    import zlib
-
-    import pyarrow as pa
-
     return (hash_u64(values) % np.uint64(n_parts)).astype(np.int64)
 
 
 def hash_u64(values) -> np.ndarray:
     """Full-width deterministic u64 hash of a column — vectorized
-    Fibonacci mix for integer ids, pandas C-siphash (FIXED default key,
+    Fibonacci mix for numeric ids, pandas C-siphash (FIXED default key,
     stable across worker processes — unlike builtin ``hash()`` under
-    per-process PYTHONHASHSEED) for strings, per-value crc32 fallback."""
+    per-process PYTHONHASHSEED) for strings, per-value crc32 fallback.
+
+    The rule follows the column's TYPE, never its values: a string id
+    hashes the same way in every block, whether or not the block's ids
+    all happen to parse as integers."""
     import zlib
 
     import pyarrow as pa
 
-    try:
-        v = np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.int64).astype(
-            np.uint64
-        )
-        return (v * _FIB_MIX) >> np.uint64(32)  # wraps mod 2^64
-    except (TypeError, ValueError, pa.ArrowInvalid):
-        pass
+    t = values.type
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
+            or pa.types.is_dictionary(t)):
+        try:
+            v = np.asarray(values.to_numpy(zero_copy_only=False), dtype=np.int64).astype(
+                np.uint64
+            )
+            return (v * _FIB_MIX) >> np.uint64(32)  # wraps mod 2^64
+        except (TypeError, ValueError, pa.ArrowInvalid):
+            pass
     try:
         import pandas as pd
 
@@ -65,27 +69,34 @@ def hash_parts_cols(table, cols, n_parts: int) -> np.ndarray:
     return (h % np.uint64(n_parts)).astype(np.int64)
 
 
+def _typed_blocks(fn, out_schema):
+    """Whole-block UDF for ``map_batches(batch_size=None)``: an empty
+    block yields ``out_schema.empty_table()``, any other block yields
+    the tables of ``fn(block)``, so every block of the stage stays
+    typed.  (Ray 2.49 never hands a map UDF an empty block — it emits a
+    zero-column one instead — so the guard fires on blocks that the
+    caller empties itself, such as an exchange part of pads alone.)"""
+
+    def apply_block(block):
+        if block.num_rows == 0:
+            yield out_schema.empty_table()
+            return
+        yield from fn(block)
+
+    return apply_block
+
+
 def map_groups_typed(ds, keys, fn, out_schema):
     """``ds.groupby(keys).map_groups(fn)`` with SCHEMA-TYPED empty outputs.
 
-    Ray's own ``map_groups`` yields NOTHING for an empty sort partition
-    (grouped_data.py::_apply_udf_to_groups iterates zero groups), so the
-    operator emits zero-column RefBundles — the executor's "different
-    schema" warnings — which can poison downstream ``schema()`` calls.
-    This helper runs the IDENTICAL plan Ray would (sort by keys, then a
-    whole-block map that applies ``fn`` per group; equal keys are
-    co-located because the sort range-partitions by key value), but
-    yields ``out_schema.empty_table()`` for empty partitions so every
-    block of the stage stays typed."""
-    import pyarrow as pa
-
+    Runs the IDENTICAL plan Ray would (sort by keys, then a whole-block
+    map that applies ``fn`` per group; equal keys are co-located because
+    the sort range-partitions by key value), but empty partitions yield
+    ``out_schema.empty_table()`` (``_typed_blocks``)."""
     keys_l = [keys] if isinstance(keys, str) else list(keys)
 
-    def apply_block(block: pa.Table):
+    def per_group(block):
         n = block.num_rows
-        if n == 0:
-            yield out_schema.empty_table()
-            return
         change = np.zeros(n, dtype=bool)
         change[0] = True
         for k in keys_l:
@@ -103,7 +114,53 @@ def map_groups_typed(ds, keys, fn, out_schema):
             yield fn(block.slice(int(s), int(e - s)))
 
     return ds.sort(keys_l).map_batches(
-        apply_block, batch_size=None, batch_format="pyarrow"
+        _typed_blocks(per_group, out_schema), batch_size=None, batch_format="pyarrow"
+    )
+
+
+def exchange(ds, keys, fn, out_schema):
+    """One hash exchange: ``fn(part)`` runs once per partition and sees
+    every row of each key in that partition, in no particular order.
+
+    The part count ``n`` is the cluster's CPU count, read when the
+    dataset is built.  Two plans:
+
+    - ``n == 1``: ``repartition(1)`` and one ``fn`` over the whole
+      dataset — no hash tag, no sort, no boundary sampling;
+    - ``n > 1``: each row is tagged with ``hash_parts_cols(keys, n)``
+      and sorted on the tag with the known boundaries ``1 .. n-1``, so
+      Ray skips its sampling pass and returns exactly ``n`` blocks.
+      Every tagging task also appends one all-null PAD row per part, so
+      no partition reaches the final map empty: Ray skips its UDF on an
+      empty block and emits a zero-column one instead.  The pads are
+      dropped before ``fn``, and a partition of pads alone yields
+      ``out_schema.empty_table()`` (``_typed_blocks``).
+
+    ``fn`` must return a table of ``out_schema``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    keys_l = [keys] if isinstance(keys, str) else list(keys)
+    n = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    apply = _typed_blocks(lambda part: [fn(part)], out_schema)
+    if n == 1:
+        return ds.repartition(1).map_batches(apply, batch_size=None, batch_format="pyarrow")
+
+    def tag(t: pa.Table) -> pa.Table:
+        pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)
+        part = np.concatenate([hash_parts_cols(t, keys_l, n), np.arange(n)])
+        pad = np.arange(t.num_rows + n) >= t.num_rows
+        return (pa.concat_tables([t, pads]).append_column("_part", pa.array(part, pa.int64()))
+                .append_column("_pad", pa.array(pad, pa.bool_())))
+
+    def run(part: pa.Table):
+        yield from apply(part.filter(pc.invert(part.column("_pad"))).drop_columns(["_part", "_pad"]))
+
+    return (
+        ds.map_batches(tag, batch_format="pyarrow")
+        .sort("_part", boundaries=list(range(1, n)))
+        .map_batches(run, batch_size=None, batch_format="pyarrow")
     )
 
 

@@ -247,17 +247,6 @@ def test_lattice_combiner_rejects_bands(ray_session):
         merge_mean_lattice(ds, 0.01).to_pandas()
 
 
-def test_lattice_combine_partition_invariance(ray_session, oracle_images_ds):
-    # the hash-partitioned final combine must give identical results for
-    # any partition count (associative int sums)
-    a = merge_mean_lattice(oracle_images_ds, 0.01, n_parts=1).to_pandas()
-    b = merge_mean_lattice(oracle_images_ds, 0.01, n_parts=97).to_pandas()
-    key = ["gx", "gy"]
-    a = a.sort_values(key).reset_index(drop=True)
-    b = b.sort_values(key).reset_index(drop=True)
-    assert (a[["gx", "gy", "sum_value", "n_value"]].values == b[["gx", "gy", "sum_value", "n_value"]].values).all()
-
-
 def test_composite_auto_salt_single_pass_equals_plain(ray_session, oracle_images_ds):
     tiles = tile_images(oracle_images_ds, level=9).materialize()
     plain = composite_cells(tiles, 0.01, "merge_mean").to_pandas()
