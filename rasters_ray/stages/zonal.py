@@ -248,9 +248,9 @@ def crosstab(zones: np.ndarray, classes: np.ndarray) -> pa.Table:
 
     Vectorized as a single bincount over the packed pair code; exact
     integers.  At scale this is a per-tile partial crosstab (map_batches
-    emits the local pairs) followed by a groupby-sum whose payload is
-    distinct pairs, never pixels — the same partial-aggregate shape as
-    pixel_histogram."""
+    emits the local pairs) followed by one exchange that sums them
+    (``crosstab_images``); its payload is distinct pairs, never pixels —
+    the same partial-aggregate shape as pixel_histogram."""
     z = np.asarray(zones, dtype=np.int64)
     c = np.asarray(classes, dtype=np.int64)
     if z.shape != c.shape:
