@@ -140,7 +140,7 @@ def one_cpu_results():
     env = dict(os.environ, PYTHONPATH=repo)
     env.pop("RAY_ADDRESS", None)
     proc = subprocess.run([sys.executable, "-c", _ONE_CPU], cwd=repo, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
 

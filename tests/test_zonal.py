@@ -99,7 +99,7 @@ def test_crosstab_images_one_cpu_session():
     env = dict(os.environ, PYTHONPATH=repo)
     env.pop("RAY_ADDRESS", None)
     proc = subprocess.run([sys.executable, "-c", _CROSSTAB_1CPU], cwd=repo, env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "may hang forever" not in proc.stdout + proc.stderr
     got = {(z, k): n for z, k, n in json.loads(proc.stdout.strip().splitlines()[-1])}
