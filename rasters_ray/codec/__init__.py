@@ -32,7 +32,8 @@ class BlobReader:
         import pyarrow as pa
 
         if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
+            # one chunk is read in place; combine_chunks would copy it
+            col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
         bufs = col.buffers()
         import pyarrow.types as pt
 

@@ -9,6 +9,7 @@ exactly (allclose is equality), satisfying the per-row invariant
 from __future__ import annotations
 
 import ast
+import functools
 import struct
 
 import numpy as np
@@ -51,8 +52,17 @@ def decode(data) -> np.ndarray:
         (hlen,) = struct.unpack("<I", bytes(mv[8:12]))
         off = 12 + hlen
         header = bytes(mv[12:off])
+    dtype, shape, order = _parse_header(header)
+    return np.frombuffer(mv[off:], dtype=dtype).reshape(shape, order=order)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_header(header: bytes):
+    """npy header dict bytes -> (dtype, shape, order).  Memoized: images
+    of one layout share a header, and ``literal_eval`` is most of a
+    decode's cost.  A malformed header raises on every call."""
     meta = ast.literal_eval(header.decode("latin1"))
     dtype = np.dtype(meta["descr"])
     shape = meta["shape"]
     order = "F" if meta["fortran_order"] else "C"
-    return np.frombuffer(mv[off:], dtype=dtype).reshape(shape, order=order)
+    return dtype, shape, order

@@ -2,9 +2,10 @@
 those cells lie.
 
 One set of array functions behind ``cellkey.covering_cells`` and
-``cellkey.cell_bounds`` (one box or id list) and
-``stages.tiling.make_tiles`` (every image of a batch at once), so the
-cell geometry is written down once and the paths cannot drift apart.
+``cellkey.cell_bounds`` (one box or id list), ``stages.tiling.make_tiles``
+and ``stages.point_join.sample_points_batch`` (every image of a batch at
+once), so the cell geometry is written down once and the paths cannot
+drift apart.
 """
 
 from __future__ import annotations
@@ -41,3 +42,22 @@ def cell_ranges(level: int, xmin, ymin, xmax, ymax):
     iy1 = np.minimum(n - 1, np.floor((90.0 - ymin) / h - 1e-12).astype(np.int64))
     iy1 = np.maximum(iy1, iy0)
     return ix0, ix1, iy0, iy1
+
+
+def ragged(counts):
+    """(owner, offset) of a ragged expansion: owner k appears counts[k]
+    times in a row, and offset runs 0..counts[k]-1 within each run."""
+    owner = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size, dtype=np.int64) - starts[owner]
+
+
+def covering_rows(level: int, xmin, ymin, xmax, ymax):
+    """Every (box, cell) pair of the coverings of boxes with
+    ``xmin <= xmax``: (box, ix, iy) int64 arrays, box by box, and within a
+    box iy-major with ix fastest — the order in which
+    ``cellkey.covering_cells`` lists one box's cells."""
+    ix0, ix1, iy0, iy1 = cell_ranges(level, xmin, ymin, xmax, ymax)
+    nx = ix1 - ix0 + 1
+    box, o = ragged(nx * (iy1 - iy0 + 1))
+    return box, ix0[box] + o % nx[box], iy0[box] + o // nx[box]

@@ -70,17 +70,21 @@ def _base_schema(ds) -> pa.Schema:
     return getattr(sch, "base_schema", sch)
 
 
-def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, n_parts):
+def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, n_parts, schemas=None):
     """Tag both sides into one union-compatible layout.
 
     Union schema = left columns ++ ``__r_``-prefixed right columns ++
     ``_side`` (int8) ++ ``_jp`` (hash partition of the join key; keys may
     be a single column name or a list — composite keys co-partition via
     ``util.hash_parts_cols``).  The other side's columns ride as typed
-    nulls (validity-bitmap only until a partition materializes them)."""
+    nulls (validity-bitmap only until a partition materializes them).
+
+    ``schemas`` is the (left, right) pair when the caller knows it;
+    otherwise each side's ``Dataset.schema()`` is asked, which runs an
+    unexecuted pipeline far enough to see one block."""
     lkeys = [left_key_col] if isinstance(left_key_col, str) else list(left_key_col)
     rkeys = [right_key_col] if isinstance(right_key_col, str) else list(right_key_col)
-    lsch, rsch = _base_schema(left_ds), _base_schema(right_ds)
+    lsch, rsch = schemas or (_base_schema(left_ds), _base_schema(right_ds))
     lnames = list(lsch.names)
     rnames = list(rsch.names)
     union_names = lnames + [_RPREFIX + n for n in rnames] + ["_side", "_jp"]
@@ -138,8 +142,12 @@ def hash_join(
     :func:`rasters_ray.relational.int_sum_partial`) here so the join
     output collapses before it ever hits the object store, instead of
     shipping the full join result to a second pass."""
-    right_on = right_on or on
-    union, lnames, rnames = _union_side_tables(left_ds, right_ds, on, right_on, n_parts)
+    return _hash_join(left_ds, right_ds, on, right_on or on, how, n_parts, right_suffix, post)
+
+
+def _hash_join(left_ds, right_ds, on, right_on, how, n_parts, right_suffix, post, schemas=None):
+    """``hash_join`` with the sides' (left, right) schemas when known."""
+    union, lnames, rnames = _union_side_tables(left_ds, right_ds, on, right_on, n_parts, schemas)
 
     def join_part(group: pa.Table) -> pa.Table:
         left_t, right_t = _split_sides(group, lnames, rnames)
@@ -446,13 +454,12 @@ def skew_join(
         right_on=right_on,
         right_suffix=right_suffix,
     )
-    cold_joined = hash_join(
+    # the cold filters keep each side's schema: take it from the inputs,
+    # so no schema() call runs the unexecuted filtered pipelines
+    cold_joined = _hash_join(
         left_ds.map_batches(left_cold, batch_format="pyarrow"),
         right_ds.map_batches(right_cold, batch_format="pyarrow"),
-        on=on,
-        right_on=right_on,
-        how="inner",
-        n_parts=n_parts,
-        right_suffix=right_suffix,
+        on, right_on, how="inner", n_parts=n_parts, right_suffix=right_suffix, post=None,
+        schemas=(_base_schema(left_ds), _base_schema(right_ds)),
     )
     return hot_joined.union(cold_joined)

@@ -6,11 +6,14 @@ Re-expresses the reference's geometry lookups as Ray Data join patterns
 - ``assign_cells``: vectorized point -> tile-key assignment (the broadcast
   join key; RasterGrid.index_point semantics, raster_grid.py:717-735).
 - ``sample_points``: the point table is bucketed by cell once on the
-  driver and broadcast; stateless tasks read it with ``util.fetch`` and,
-  for each image batch, find candidate points via covering cells,
-  compute (row, col) via the inverse affine-center rule, decode pixels
-  once per image and gather values — the engine's
-  ``Raster.open(geometry=MultiPoint)`` / ``to_point``
+  driver (``PointBuckets``, built with Arrow and numpy) and broadcast;
+  stateless tasks read it with ``util.fetch`` and join each image batch
+  in one array pass (``sample_points_batch``): the covering cells of
+  every image, the candidate points of every cell, the CRS transform
+  once per distinct image CRS, (row, col) by the inverse affine-center
+  rule and the inside mask over all candidates at once.  Python touches
+  only the images with hits, to decode each once and gather its values
+  — the engine's ``Raster.open(geometry=MultiPoint)`` / ``to_point``
   (raster.py:670-711, raster.py:1295-1322).
 - missed points (no image contains them) become NaN rows through one
   fused anti-join exchange (``util.exchange``, one part per cluster CPU)
@@ -21,9 +24,12 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import codec
-from ..grids import GridSpec, cellkey
+from ..grids import cellkey
+from ..grids.covering import covering_rows, ragged
+from ..grids.windows import point_cells
 from ..proj import transform_xy
 from ..util import exchange, fetch
 
@@ -41,17 +47,15 @@ JOIN_SCHEMA = pa.schema(
 
 def assign_cells(batch: pa.Table, level: int, x_col: str = "x", y_col: str = "y") -> pa.Table:
     """Add a cell_key column to a point batch (reprojecting any non-WGS84
-    rows to the geographic tile space first)."""
+    rows to the geographic tile space first, once per distinct CRS)."""
     x = batch.column(x_col).to_numpy(zero_copy_only=False).astype(np.float64)
     y = batch.column(y_col).to_numpy(zero_copy_only=False).astype(np.float64)
     if "crs" in batch.column_names:
-        crs = np.asarray(batch.column("crs").to_pylist())
-        for c in np.unique(crs):
+        crs = batch.column("crs")
+        for c in pc.unique(crs).to_pylist():
             if c != "EPSG:4326":
-                sel = crs == c
-                lon, lat = transform_xy(x[sel], y[sel], str(c), "EPSG:4326")
-                x[sel] = lon
-                y[sel] = lat
+                sel = pc.equal(crs, c).to_numpy(zero_copy_only=False)
+                x[sel], y[sel] = transform_xy(x[sel], y[sel], str(c), "EPSG:4326")
     cids = cellkey.cell_ids(level, x, y)
     out = batch.append_column("cell_key", pa.array(cids, pa.int64()))
     out = out.append_column("lon", pa.array(x, pa.float64()))
@@ -62,7 +66,8 @@ def assign_cells(batch: pa.Table, level: int, x_col: str = "x", y_col: str = "y"
 class PointBuckets:
     """Broadcastable point lookup: cell_key -> (point_ids, lon, lat).
     Built once on the driver from the (small) point table, ``ray.put`` and
-    read by every sampling task through ``util.fetch``."""
+    read by every sampling task through ``util.fetch``.  Points are sorted
+    by cell key (stable), so the points of one cell are one slice."""
 
     def __init__(self, points: pa.Table, level: int):
         pts = assign_cells(points, level)
@@ -70,73 +75,114 @@ class PointBuckets:
         cid = pts.column("cell_key").to_numpy()
         order = np.argsort(cid, kind="stable")
         self.cell_sorted = cid[order]
-        self.ids = np.asarray(pts.column("point_id").to_pylist(), dtype=object)[order]
-        self.ids_arrow = pa.array(self.ids.tolist(), pa.string())
+        self.ids_arrow = (
+            pts.column("point_id").cast(pa.string()).combine_chunks().take(pa.array(order))
+        )
         self.lon = pts.column("lon").to_numpy()[order]
         self.lat = pts.column("lat").to_numpy()[order]
-        self.n = len(self.ids)
+        self.n = len(order)
+
+    def slices(self, cells: np.ndarray):
+        """(lo, count) of the sorted points in each of ``cells``."""
+        lo = np.searchsorted(self.cell_sorted, cells, side="left")
+        hi = np.searchsorted(self.cell_sorted, cells, side="right")
+        return lo, hi - lo
 
     def lookup(self, cells: np.ndarray) -> np.ndarray:
-        """Indices of points whose cell_key is in ``cells``."""
-        parts = []
-        for cid in np.asarray(cells, dtype=np.int64):
-            lo = np.searchsorted(self.cell_sorted, cid, side="left")
-            hi = np.searchsorted(self.cell_sorted, cid, side="right")
-            if hi > lo:
-                parts.append(np.arange(lo, hi))
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        """Indices of points whose cell_key is in ``cells``, cell by cell
+        in the order of ``cells``."""
+        lo, cnt = self.slices(np.asarray(cells, dtype=np.int64))
+        k, o = ragged(cnt)
+        return lo[k] + o
 
 
 def sample_points_batch(batch: pa.Table, buckets: PointBuckets, level: int) -> pa.Table:
-    """Vectorized end-to-end: per image one decode + one gather; outputs
-    assembled as numpy arrays (no per-row Python in the hot path)."""
-    grids = batch.column("grid").to_pylist()
-    image_ids = batch.column("image_id").to_pylist()
-    fmts = batch.column("fmt").to_pylist()
-    blobs = codec.BlobReader(batch.column("bytes"))  # zero-copy views
+    """Join one image batch to the point buckets in one array pass.
 
-    pid_parts, img_idx_parts, row_parts, col_parts, val_parts = [], [], [], [], []
-    for i in range(batch.num_rows):
-        grid = GridSpec.from_dict(grids[i])
-        cells = cellkey.covering_cells(level, grid.bbox)
-        cand = buckets.lookup(cells)
-        if cand.size == 0:
-            continue
-        # native-CRS coordinates of candidate points
-        px, py = buckets.lon[cand], buckets.lat[cand]
-        if grid.crs != "EPSG:4326":
-            px, py = transform_xy(px, py, "EPSG:4326", grid.crs)
-        rows, cols = grid.index_points(px, py)
-        inside = grid.contains_rowcol(rows, cols)
-        if not inside.any():
-            continue
-        arr = codec.decode(blobs[i], fmts[i])
-        sel = np.nonzero(inside)[0]
-        r_in = rows[sel]
-        c_in = cols[sel]
-        pid_parts.append(cand[sel])
-        img_idx_parts.append(np.full(sel.size, i, dtype=np.int32))
-        row_parts.append(r_in.astype(np.int32))
-        col_parts.append(c_in.astype(np.int32))
-        val_parts.append(arr[r_in, c_in].astype(np.float64))
-    if not pid_parts:
+    Per image, the bbox of cell corners (``GridSpec.bbox``) comes from the
+    ``grid`` struct columns, and ``grids.covering.covering_rows`` expands
+    the covering cells to (image, cell) rows in the iy-major, ix-fastest
+    order of ``cellkey.covering_cells``.  One ``searchsorted`` pair finds
+    each cell's slice of the sorted points, and a second ragged expansion
+    (``grids.covering.ragged``) gives (image, candidate) rows.  The
+    candidates move to each image's CRS once per distinct CRS, then one
+    ``grids.windows.point_cells`` call (the inverse affine-center rule of
+    ``GridSpec.index_points``) and one inside mask keep the hits.  Python
+    loops only over the images with hits, decoding each once to gather
+    its values.  Rows come out image by image, candidates in lookup
+    order: the order of a per-image loop."""
+    if batch.num_rows == 0:
         return JOIN_SCHEMA.empty_table()
-    cand_all = np.concatenate(pid_parts)
-    img_idx = np.concatenate(img_idx_parts)
-    n = cand_all.size
-    # dictionary-style assembly: take from the small id arrays
-    point_ids = buckets.ids_arrow.take(pa.array(cand_all))
-    image_id_arr = pa.array(image_ids, pa.string()).take(pa.array(img_idx))
+    grid = batch.column("grid")
+
+    def gf(name, dtype):
+        return pc.struct_field(grid, name).to_numpy(zero_copy_only=False).astype(dtype)
+
+    x0 = gf("x_origin", np.float64)
+    y0 = gf("y_origin", np.float64)
+    cw = gf("cell_width", np.float64)
+    ch = gf("cell_height", np.float64)
+    rows = gf("rows", np.int64)
+    cols = gf("cols", np.int64)
+    if (cw <= 0).any() or (ch >= 0).any():
+        raise ValueError("grid cell_width must be positive and cell_height negative")
+
+    # per-image bbox of cell corners (GridSpec.bbox)
+    ex = x0 + cw * cols
+    ey = y0 + ch * rows
+    xmin = np.minimum(x0, ex)
+    xmax = np.maximum(x0, ex)
+    ymin = np.minimum(y0, ey)
+    ymax = np.maximum(y0, ey)
+    bad = ~np.isfinite(np.stack([xmin, ymin, xmax, ymax])).all(axis=0)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        box = (float(xmin[i]), float(ymin[i]), float(xmax[i]), float(ymax[i]))
+        raise ValueError(f"covering_cells needs a finite bbox, got {box}")
+
+    # (image, cell) rows, then (image, candidate point) rows
+    img, ix, iy = covering_rows(level, xmin, ymin, xmax, ymax)
+    cid = (np.int64(level) << np.int64(56)) | (iy << np.int64(28)) | ix
+    lo, cnt = buckets.slices(cid)
+    cell, o = ragged(cnt)
+    cand = lo[cell] + o
+    cimg = img[cell]
+
+    # candidates in each image's native CRS
+    px = buckets.lon[cand]
+    py = buckets.lat[cand]
+    crs = pc.struct_field(grid, "crs")
+    for code in pc.unique(crs).to_pylist():
+        if code != "EPSG:4326":
+            sel = pc.equal(crs, code).to_numpy(zero_copy_only=False)[cimg]
+            if sel.any():
+                px[sel], py[sel] = transform_xy(px[sel], py[sel], "EPSG:4326", code)
+
+    r, c = point_cells(x0[cimg], y0[cimg], cw[cimg], ch[cimg], px, py)
+    hit = np.flatnonzero((r >= 0) & (r < rows[cimg]) & (c >= 0) & (c < cols[cimg]))
+    if hit.size == 0:
+        return JOIN_SCHEMA.empty_table()
+    h_img = cimg[hit]
+    r = r[hit]
+    c = c[hit]
+
+    # one decode per image with hits; hits arrive image by image
+    values = np.empty(hit.size, dtype=np.float64)
+    blobs = codec.BlobReader(batch.column("bytes"))  # zero-copy views
+    fmts = batch.column("fmt").to_pylist()
+    cuts = np.flatnonzero(np.r_[True, h_img[1:] != h_img[:-1], True]).tolist()
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        i = int(h_img[s])
+        values[s:e] = codec.decode(blobs[i], fmts[i])[r[s:e], c[s:e]]
+
     return pa.Table.from_arrays(
         [
-            point_ids,
-            image_id_arr,
-            pa.array(np.concatenate(row_parts), pa.int32()),
-            pa.array(np.concatenate(col_parts), pa.int32()),
-            pa.array(np.concatenate(val_parts), pa.float64()),
-            pa.array(np.ones(n, dtype=bool), pa.bool_()),
+            buckets.ids_arrow.take(pa.array(cand[hit])),
+            batch.column("image_id").take(pa.array(h_img)).combine_chunks().cast(pa.string()),
+            pa.array(r.astype(np.int32), pa.int32()),
+            pa.array(c.astype(np.int32), pa.int32()),
+            pa.array(values, pa.float64()),
+            pa.array(np.ones(hit.size, dtype=bool), pa.bool_()),
         ],
         schema=JOIN_SCHEMA,
     )
@@ -179,8 +225,6 @@ def sample_points(
     # no id set ever reaches the driver — the distributed form of a
     # left-anti join, specialised so the matched stream is consumed a
     # single time.
-    import pyarrow.compute as pc
-
     n_pts = points.num_rows
     marker = pa.Table.from_arrays(
         [

@@ -27,7 +27,7 @@ import pyarrow as pa
 
 from .. import codec
 from ..grids import cellkey
-from ..grids.covering import cell_boxes, cell_ranges
+from ..grids.covering import cell_boxes, covering_rows
 from ..grids.windows import box_windows
 from ..sources.images import GRID_STRUCT
 
@@ -62,7 +62,7 @@ def make_tiles(batch: pa.Table, level: int, decode_pixels: bool = True) -> pa.Ta
     raster_grid.py:151-202).
 
     Assembly is fully array-at-a-time ACROSS images: the covering rule
-    (grids.covering.cell_ranges), the cell bounds
+    (grids.covering.covering_rows), the cell bounds
     (grids.covering.cell_boxes) and the window rule
     (grids.windows.box_windows) are the same array functions the scalar
     paths call; the sub-grid origin shift (GridSpec.subset) is a per-tile
@@ -97,22 +97,10 @@ def make_tiles(batch: pa.Table, level: int, decode_pixels: bool = True) -> pa.Ta
     ymin = np.minimum(y0, ey)
     ymax = np.maximum(y0, ey)
 
-    ix0, ix1, iy0, iy1 = cell_ranges(level, xmin, ymin, xmax, ymax)
-
-    # ragged expansion: one row per (image, covering cell), iy-major with
-    # ix fastest — the meshgrid(ixs, iys).ravel() order of covering_cells
-    nx = ix1 - ix0 + 1
-    ny = iy1 - iy0 + 1
-    cnt = nx * ny
-    total = int(cnt.sum())
-    if total == 0:
+    # one row per (image, covering cell), in covering_cells' order
+    img, ix, iy = covering_rows(level, xmin, ymin, xmax, ymax)
+    if img.size == 0:
         return _empty_tiles()
-    img = np.repeat(np.arange(n_img, dtype=np.int64), cnt)
-    off = np.r_[np.int64(0), np.cumsum(cnt)[:-1]]
-    o = np.arange(total, dtype=np.int64) - np.repeat(off, cnt)
-    nx_t = np.repeat(nx, cnt)
-    ix = np.repeat(ix0, cnt) + o % nx_t
-    iy = np.repeat(iy0, cnt) + o // nx_t
     cid = (np.int64(level) << np.int64(56)) | (iy << np.int64(28)) | ix
 
     # cell bounds clipped to the image bbox

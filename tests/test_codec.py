@@ -20,6 +20,44 @@ def test_npy_round_trip_float_nan():
     np.testing.assert_array_equal(back[~np.isnan(a)], a[~np.isnan(a)])
 
 
+
+def _npy_bytes(a: np.ndarray) -> bytes:
+    import io
+
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+def test_npy_fortran_order_header_decodes_like_np_load():
+    a = np.asfortranarray(np.arange(12, dtype=np.int16).reshape(3, 4))
+    raw = _npy_bytes(a)
+    assert b"'fortran_order': True" in raw[:128]
+    for _ in range(2):  # the second decode reads the memoized header
+        back = codec.decode(raw, "npy")
+        assert back.flags.f_contiguous and back.shape == (3, 4)
+        np.testing.assert_array_equal(back, a)
+
+
+def test_npy_3d_header_keeps_its_shape():
+    a = np.arange(2 * 3 * 5, dtype=np.float32).reshape(2, 3, 5)
+    raw = codec.encode(a, "npy")
+    for _ in range(2):
+        back = codec.decode(raw, "npy")
+        assert back.shape == (2, 3, 5) and back.dtype == np.float32
+        np.testing.assert_array_equal(back, a)
+
+
+def test_npy_malformed_header_raises_every_time():
+    good = codec.encode(np.zeros((2, 2), np.uint8), "npy")
+    (hlen,) = np.frombuffer(good[8:10], dtype="<u2")
+    header = b"{'descr': '|u1', 'fortran_order': False, 'shape': (2, 2), ".ljust(int(hlen) - 1) + b"\n"
+    bad = good[:10] + header + good[10 + int(hlen):]
+    for _ in range(2):  # a failed parse is not memoized
+        with pytest.raises(SyntaxError):
+            codec.decode(bad, "npy")
+
+
 def test_png_round_trip_uint8():
     a = np.random.default_rng(2).integers(0, 256, (64, 64), dtype=np.uint8)
     assert np.array_equal(codec.decode(codec.encode(a, "png"), "png"), a)

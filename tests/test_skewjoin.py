@@ -91,3 +91,31 @@ def test_skew_join_no_hot_keys_falls_back(ray_session):
     )
     out = skew_join(left, right, on="k", hot_threshold=10).to_pandas()
     assert len(out) == 200
+
+
+def test_skew_join_never_asks_the_cold_filters_for_a_schema(ray_session, monkeypatch):
+    # Dataset.schema() on an unexecuted map_batches runs it under limit=1
+    # and cancels the tasks still in flight; the cold-side filters keep
+    # their inputs' schemas, so skew_join takes those instead
+    import ray.data as rd
+
+    cold, asked = [], []
+    map_batches, schema = rd.Dataset.map_batches, rd.Dataset.schema
+
+    def tagging_map_batches(self, fn, *args, **kwargs):
+        out = map_batches(self, fn, *args, **kwargs)
+        if getattr(fn, "__name__", "") in ("left_cold", "right_cold"):
+            cold.append(out)
+        return out
+
+    def recording_schema(self, *args, **kwargs):
+        asked.extend(d for d in cold if d is self)
+        return schema(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", tagging_map_batches)
+    monkeypatch.setattr(rd.Dataset, "schema", recording_schema)
+    left, right, keys = _skewed()
+    out = skew_join(left, right, on="k", hot_threshold=5_000).to_pandas()
+    assert len(cold) == 2
+    assert asked == []
+    assert len(out) == len(keys)
