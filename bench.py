@@ -171,10 +171,11 @@ def run_bench() -> dict:
         )
         stats["n_join_rows"] = join.count()
 
-    # q3: merge composite at TILE granularity — groupby(cell_key) shuffle of
-    # encoded tiles with salting for the 30% skew cluster. Restricted to the
-    # lattice-aligned (0.01-deg) subset: compositing mixed resolutions needs
-    # a warp first (the general path), which is not what this measures.
+    # q3: merge composite at TILE granularity — one cell_key exchange of
+    # encoded tiles; a cell that dominates a tile block is pre-combined
+    # map-side. Restricted to the lattice-aligned (0.01-deg) subset:
+    # compositing mixed resolutions needs a warp first (the general path),
+    # which is not what this measures.
     def stage_merge_composite():
         aligned = read_images(img_path).map_batches(
             lambda t: t.filter(
@@ -186,7 +187,6 @@ def run_bench() -> dict:
             tile_images(aligned, level=TILE_LEVEL, batch_size=64),
             cell_size=0.01,
             mode="merge_mean",
-            salt="auto",
         )
         stats["n_merge_cells"] = merged.count()
 

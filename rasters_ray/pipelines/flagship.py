@@ -7,7 +7,7 @@ End-to-end, all streaming (the north-star job the bench measures):
       -> write tiles partitioned by image-id hash   (resumable, §checkpoint)
     read images
       -> sample_points          # broadcast point buckets, stateless tasks
-    tiles -> composite_cells    # groupby(cell_key) merge composite
+    tiles -> composite_cells    # one cell_key exchange, merge composite
 
 ``run_flagship_partitioned`` runs the tiling leg as one resumable job:
 the input is read once, in one streaming execution whose sink routes

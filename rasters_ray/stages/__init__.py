@@ -2,7 +2,6 @@ from .composite import (
     composite_cells,
     composite_group,
     merge_mean_lattice,
-    partial_lattice_sums,
 )
 from .point_join import (
     JOIN_SCHEMA,
@@ -87,7 +86,6 @@ __all__ = [
     "composite_cells",
     "composite_group",
     "merge_mean_lattice",
-    "partial_lattice_sums",
     "JOIN_SCHEMA",
     "PointBuckets",
     "assign_cells",

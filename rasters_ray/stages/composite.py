@@ -8,24 +8,30 @@ Reference semantics (SURVEY.md §2.5):
   (mosaic.py:53-64) — Ray Data execution order is nondeterministic, so
   precedence is an explicit ``order`` column, never arrival order.
 
-Ray Data shapes:
-- ``partial_lattice_sums`` + ``merge_mean_lattice``: the scalar two-phase
-  aggregation — per-batch partial (sum, count) per global-lattice pixel
-  (combiner), then one hash exchange (``util.exchange``) whose partitions
-  combine vectorized — the canonical partial+final pattern that keeps
-  the all-to-all exchange to unique keys instead of raw pixels. The
-  first- and best-valid mosaics share this shape. Sums stay int64-exact
-  so results are order-independent (float summation order varies
-  across parallel runs).
-- ``composite_cells``: raster-out composite: tiles grouped by cell_key,
-  per-group numpy accumulation onto the cell's lattice grid, with optional
-  SALTING for hot cells (two-phase groupby: (cell_key, salt) partial ->
-  cell_key final), per the north rule's skew handling.
+Ray Data shapes, each one hash exchange (``util.exchange``):
+- ``merge_mean_lattice``, ``mosaic_first_lattice``, ``mosaic_best_lattice``:
+  per-pixel composites on the global lattice.  One kernel decodes a batch
+  into (lattice key, int value) pairs of its valid pixels and reduces
+  them with ``np.unique`` + ``ufunc.at`` (``add`` for (sum, count),
+  ``minimum`` for packed first, ``maximum`` for packed best); the same
+  reduction runs per batch, before the exchange, and per partition after
+  it, so only unique keys cross the exchange.  Values stay int64-exact,
+  so results are order-independent (float summation order varies across
+  parallel runs).
+- ``composite_cells``: raster-out composite of tiles by ``cell_key``.
+  Each partition sorts its rows by cell and composites each cell onto the
+  cell's lattice grid.  Skew (the north rule) is handled in the same pass
+  by a map-side pre-combine: in each tile block, the ``merge_mean`` tiles
+  of a cell holding at least ``max(2, n // 8)`` of the block's ``n`` rows
+  become one (sum, count) row over the window they cover, so a hot
+  cell's final group holds at most one such row per block.  Cold tiles
+  cross the exchange raw: pre-combining every cell into dense partials
+  would move more bytes than the tiles themselves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
@@ -33,15 +39,6 @@ import pyarrow as pa
 from .. import codec
 from ..grids import GridSpec, cellkey
 from ..util import exchange
-
-LATTICE_PARTIAL_SCHEMA = pa.schema(
-    [
-        ("gx", pa.int64()),
-        ("gy", pa.int64()),
-        ("psum", pa.int64()),
-        ("pcnt", pa.int64()),
-    ]
-)
 
 
 def lattice_indices(grid: GridSpec, cell_size: float) -> tuple:
@@ -67,172 +64,137 @@ def lattice_indices(grid: GridSpec, cell_size: float) -> tuple:
     return gx, gy
 
 
-def partial_lattice_sums(batch: pa.Table, cell_size: float) -> pa.Table:
-    """Per-batch combiner: decode each image, accumulate integer
-    (sum, count) per global-lattice pixel across the whole batch."""
-    acc: Dict[int, np.ndarray] = {}
-    sums: Dict = {}
+# ---------------------------------------------------------------------------
+# per-pixel composites on the global lattice
+# ---------------------------------------------------------------------------
+
+
+def _lattice_pixels(batch: pa.Table, cell_size: float, max_value: Optional[int]) -> tuple:
+    """Decode a batch into ``(key, value, image)`` arrays over its valid
+    pixels: the lattice key ``gy << 32 | gx``, the pixel value rounded to
+    int64 and the batch row of its image.  ``max_value`` (or None) bounds
+    the values a packed reduction can hold."""
     grids = batch.column("grid").to_pylist()
     fmts = batch.column("fmt").to_pylist()
     blobs = codec.BlobReader(batch.column("bytes"))  # zero-copy views
-
-    keys_parts = []
-    vals_parts = []
+    keys, vals, rows = [], [], []
     for i in range(batch.num_rows):
-        grid = GridSpec.from_dict(grids[i])
         arr = codec.decode(blobs[i], fmts[i]).astype(np.float64)
         if arr.ndim != 2:
             raise ValueError(
-                "lattice merge combiners are per-band: route band stacks "
+                "lattice combiners are per-band: route band stacks "
                 "through composite_cells or split bands first"
             )
-        gx, gy = lattice_indices(grid, cell_size)
-        gxm, gym = np.meshgrid(gx, gy)
+        gx, gy = lattice_indices(GridSpec.from_dict(grids[i]), cell_size)
         valid = np.isfinite(arr)
-        # single int64 key: gy * 2^32 + gx (lattice indices are < 2^26)
-        key = (gym.astype(np.int64) << 32) | gxm.astype(np.int64)
-        keys_parts.append(key[valid].ravel())
-        vals_parts.append(np.rint(arr[valid]).astype(np.int64).ravel())
-    if not keys_parts:
-        return LATTICE_PARTIAL_SCHEMA.empty_table()
-    keys = np.concatenate(keys_parts)
-    vals = np.concatenate(vals_parts)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    psum = np.zeros(uniq.size, dtype=np.int64)
-    pcnt = np.zeros(uniq.size, dtype=np.int64)
-    np.add.at(psum, inv, vals)
-    np.add.at(pcnt, inv, 1)
-    return pa.table(
-        {
-            "gx": pa.array(uniq & 0xFFFFFFFF, pa.int64()),
-            "gy": pa.array(uniq >> 32, pa.int64()),
-            "psum": pa.array(psum, pa.int64()),
-            "pcnt": pa.array(pcnt, pa.int64()),
-        }
-    )
+        keys.append(((gy[:, None] << 32) | gx[None, :])[valid])
+        vals.append(np.rint(arr[valid]).astype(np.int64))
+        rows.append(np.full(vals[-1].size, i, dtype=np.int64))
+    if not keys:
+        return (np.empty(0, np.int64),) * 3
+    key, val, row = (np.concatenate(p) for p in (keys, vals, rows))
+    if max_value is not None and val.size and (val.min() < 0 or val.max() >= max_value):
+        raise ValueError(f"packed lattice composites need values in [0, {max_value})")
+    return key, val, row
 
 
-def merge_mean_lattice(images_ds, cell_size: float, batch_size: int = 32):
-    """Two-phase merge: map_batches partial (combiner) -> one hash
-    exchange on (gx, gy) (``util.exchange``) -> vectorized final combine.
-    Returns Dataset[(gx, gy, sum_value, n_value)] with exact int64 sums;
-    mean = sum/n downstream (kept integral for order-independence).
+def _reduce(key: np.ndarray, values: list, ufunc, identity: int) -> tuple:
+    """``ufunc``-reduce each of ``values`` by ``key``: (unique keys, [acc])."""
+    uniq, inv = np.unique(key, return_inverse=True)
+    accs = []
+    for v in values:
+        acc = np.full(uniq.size, identity, dtype=np.int64)
+        ufunc.at(acc, inv, v)
+        accs.append(acc)
+    return uniq, accs
+
+
+def _lattice_composite(images_ds, batch_size: int, pixels, ufunc, identity: int, finish,
+                       out_schema: pa.Schema):
+    """Per-batch partial -> one hash exchange on the lattice key -> the same
+    reduction per partition -> gx, gy and the ``finish(accs)`` columns.
 
     The final combine runs once per exchange PARTITION, not per key:
     Ray's groupby().aggregate() walks groups in Python, which at lattice
-    cardinality (one group per pixel) costs ~200 us/group; one np.unique
-    + np.add.at per partition combines the same rows at memory
-    bandwidth."""
-    partials = images_ds.map_batches(
-        lambda t: partial_lattice_sums(t, cell_size),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+    cardinality (one group per pixel) costs ~200 us/group."""
 
-    def combine(group: pa.Table) -> pa.Table:
-        gx = group.column("gx").to_numpy()
-        gy = group.column("gy").to_numpy()
-        key = (gy << 32) | gx
-        uniq, inv = np.unique(key, return_inverse=True)
-        s = np.zeros(uniq.size, dtype=np.int64)
-        c = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(s, inv, group.column("psum").to_numpy())
-        np.add.at(c, inv, group.column("pcnt").to_numpy())
-        return pa.table(
-            {
-                "gx": pa.array(uniq & 0xFFFFFFFF, pa.int64()),
-                "gy": pa.array(uniq >> 32, pa.int64()),
-                "sum_value": pa.array(s, pa.int64()),
-                "n_value": pa.array(c, pa.int64()),
-            }
-        )
+    def partial(batch: pa.Table) -> pa.Table:
+        key, values = pixels(batch)
+        uniq, accs = _reduce(key, values, ufunc, identity)
+        return pa.table([uniq] + accs, names=["key"] + [f"v{j}" for j in range(len(accs))])
 
-    out_schema = pa.schema(
-        [("gx", pa.int64()), ("gy", pa.int64()),
-         ("sum_value", pa.int64()), ("n_value", pa.int64())]
-    )
-    return exchange(partials, ["gx", "gy"], combine, out_schema)
+    def combine(part: pa.Table) -> pa.Table:
+        cols = [part.column(c).to_numpy() for c in part.column_names[1:]]
+        uniq, accs = _reduce(part.column("key").to_numpy(), cols, ufunc, identity)
+        cols = {"gx": uniq & 0xFFFFFFFF, "gy": uniq >> 32, **finish(accs)}
+        return pa.table({f.name: pa.array(cols[f.name], f.type) for f in out_schema})
+
+    partials = images_ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
+    return exchange(partials, ["key"], combine, out_schema)
 
 
-def partial_lattice_first(batch: pa.Table, cell_size: float, order_col: str = "order") -> pa.Table:
-    """Per-batch combiner for FIRST-valid-wins: per lattice pixel keep the
-    packed int64 ``order << 24 | value`` minimum — min over packed == value
-    of the smallest order (values must fit 24 bits; orders < 2^39).
-    Order-independent and exact, so it re-merges across batches."""
-    grids = batch.column("grid").to_pylist()
-    fmts = batch.column("fmt").to_pylist()
-    blobs = codec.BlobReader(batch.column("bytes"))  # zero-copy views
-    orders = batch.column(order_col).to_pylist()
-    keys_parts, packed_parts = [], []
-    for i in range(batch.num_rows):
-        grid = GridSpec.from_dict(grids[i])
-        from .. import codec as _codec
+def _int64_schema(*names) -> pa.Schema:
+    return pa.schema([(n, pa.int64()) for n in ("gx", "gy") + names])
 
-        arr = _codec.decode(blobs[i], fmts[i]).astype(np.float64)
-        if arr.ndim != 2:
-            raise ValueError(
-                "lattice mosaic combiner is per-band: route band stacks "
-                "through composite_cells or split bands first"
-            )
-        gx, gy = lattice_indices(grid, cell_size)
-        gxm, gym = np.meshgrid(gx, gy)
-        valid = np.isfinite(arr)
-        key = (gym.astype(np.int64) << 32) | gxm.astype(np.int64)
-        vals = np.rint(arr[valid]).astype(np.int64)
-        if vals.size and (vals.min() < 0 or vals.max() >= (1 << 24)):
-            raise ValueError("first-valid packing needs values in [0, 2^24)")
-        keys_parts.append(key[valid].ravel())
-        packed_parts.append((np.int64(orders[i]) << 24) | vals.ravel())
-    if not keys_parts:
-        return pa.schema(
-            [("gx", pa.int64()), ("gy", pa.int64()), ("packed", pa.int64())]
-        ).empty_table()
-    keys = np.concatenate(keys_parts)
-    packed = np.concatenate(packed_parts)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    best = np.full(uniq.size, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(best, inv, packed)
-    return pa.table(
-        {
-            "gx": pa.array(uniq & 0xFFFFFFFF, pa.int64()),
-            "gy": pa.array(uniq >> 32, pa.int64()),
-            "packed": pa.array(best, pa.int64()),
-        }
+
+def merge_mean_lattice(images_ds, cell_size: float, batch_size: int = 32):
+    """Exact two-phase merge -> Dataset[(gx, gy, sum_value, n_value)]:
+    int64 (sum, count) of the valid pixels per lattice pixel; mean =
+    sum/n downstream (kept integral for order-independence)."""
+
+    def pixels(batch):
+        key, val, _ = _lattice_pixels(batch, cell_size, None)
+        return key, [val, np.ones_like(val)]
+
+    return _lattice_composite(
+        images_ds, batch_size, pixels, np.add, 0,
+        lambda a: {"sum_value": a[0], "n_value": a[1]},
+        _int64_schema("sum_value", "n_value"),
     )
 
 
 def mosaic_first_lattice(images_ds, cell_size: float, order_col: str = "order",
                          batch_size: int = 32):
-    """Two-phase mosaic: partial packed-min per batch -> one hash exchange
-    on (gx, gy) -> vectorized min combine per partition -> unpack value.
-    Returns Dataset[(gx, gy, value)] (int64). (Same partition-wise final
-    as merge_mean_lattice — per-pixel groupby().aggregate() is
-    Python-loop bound.)"""
-    partials = images_ds.map_batches(
-        lambda t: partial_lattice_first(t, cell_size, order_col),
-        batch_format="pyarrow",
-        batch_size=batch_size,
+    """FIRST-valid-wins mosaic -> Dataset[(gx, gy, value)] (int64).  Per
+    lattice pixel the minimum of the packed ``order << 24 | value`` is the
+    value of the smallest order (values must fit 24 bits; orders < 2^39),
+    exact and order-independent."""
+
+    def pixels(batch):
+        key, val, row = _lattice_pixels(batch, cell_size, 1 << 24)
+        order = batch.column(order_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        return key, [(order[row] << 24) | val]
+
+    return _lattice_composite(
+        images_ds, batch_size, pixels, np.minimum, np.iinfo(np.int64).max,
+        lambda a: {"value": a[0] & 0xFFFFFF},
+        _int64_schema("value"),
     )
 
-    def combine(group: pa.Table) -> pa.Table:
-        gx = group.column("gx").to_numpy()
-        gy = group.column("gy").to_numpy()
-        key = (gy << 32) | gx
-        uniq, inv = np.unique(key, return_inverse=True)
-        best = np.full(uniq.size, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best, inv, group.column("packed").to_numpy())
-        return pa.table(
-            {
-                "gx": pa.array(uniq & 0xFFFFFFFF, pa.int64()),
-                "gy": pa.array(uniq >> 32, pa.int64()),
-                "value": pa.array(best & 0xFFFFFF, pa.int64()),
-            }
-        )
 
-    out_schema = pa.schema(
-        [("gx", pa.int64()), ("gy", pa.int64()), ("value", pa.int64())]
+def mosaic_best_lattice(images_ds, cell_size: float, order_col: str = "order",
+                        quality_col: str = "quality",
+                        batch_size: int = 32):
+    """BEST-available-pixel (argmax-quality) composite -> Dataset[(gx, gy,
+    value, win_order)] — the third classic EO compositing mode beside mean
+    (merge) and first-valid (mosaic).  Per lattice pixel the maximum of the
+    packed ``quality << 44 | order << 24 | value`` is the value of the
+    highest-quality covering scene, ties broken by the larger order
+    (values < 2^24, orders < 2^20, qualities < 2^19)."""
+
+    def pixels(batch):
+        quality = batch.column(quality_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        order = batch.column(order_col).to_numpy(zero_copy_only=False).astype(np.int64)
+        if ((quality < 0) | (quality >= 1 << 19) | (order < 0) | (order >= 1 << 20)).any():
+            raise ValueError("quality must fit 19 bits, order 20 bits")
+        key, val, row = _lattice_pixels(batch, cell_size, 1 << 24)
+        return key, [(quality[row] << 44) | (order[row] << 24) | val]
+
+    return _lattice_composite(
+        images_ds, batch_size, pixels, np.maximum, -1,
+        lambda a: {"value": a[0] & 0xFFFFFF, "win_order": (a[0] >> 24) & 0xFFFFF},
+        _int64_schema("value", "win_order"),
     )
-    return exchange(partials, ["gx", "gy"], combine, out_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +221,11 @@ COMPOSITE_SCHEMA = pa.schema(
     ]
 )
 
+# ``fmt`` of a pre-combined row: its ``bytes`` are an npy float64 stack
+# of (sum, count) over the row's ``grid``, and its ``n_images`` counts
+# the tiles folded into it.
+SUM_COUNT_FMT = "npy-sum-count"
+
 
 def _cell_lattice_grid(cid: int, cell_size: float) -> GridSpec:
     """Lattice-aligned grid covering one cell-key footprint."""
@@ -284,54 +251,59 @@ def _cell_lattice_grid(cid: int, cell_size: float) -> GridSpec:
     )
 
 
-def _accumulate_group(
-    group: pa.Table, cell_size: float, mode: str, order_col: Optional[str]
-) -> tuple:
-    """Shared accumulation: returns (cid, target_grid, sum, cnt, overlay,
-    squeeze). Tiles may be 2D ``(rows, cols)`` or 3D ``(bands, rows,
-    cols)`` stacks (multi_raster.py:21-105); band counts must agree within
-    a cell. Accumulators are (bands, rows, cols); ``squeeze`` says the
-    inputs were 2D so the composite should stay 2D."""
-    cid = int(group.column("cell_key")[0].as_py())
-    target = _cell_lattice_grid(cid, cell_size)
+def _offset(g: GridSpec, target: GridSpec, cell_size: float) -> tuple:
+    """(row, col) of ``g``'s top-left pixel on ``target``'s lattice."""
+    return (int(np.rint((target.y_origin - g.y_origin) / cell_size)),
+            int(np.rint((g.x_origin - target.x_origin) / cell_size)))
+
+
+def _accumulate(rows: pa.Table, target: GridSpec, cell_size: float, mode: str,
+                order_col: Optional[str]) -> tuple:
+    """Composite ``rows`` onto ``target``: returns (sum, count, overlay,
+    squeeze).  A tile row adds (value, isfinite) per pixel; a
+    ``SUM_COUNT_FMT`` row adds its (sum, count).  Tiles may be 2D ``(rows,
+    cols)`` or 3D ``(bands, rows, cols)`` stacks (multi_raster.py:21-105);
+    band counts must agree.  Accumulators are (bands, rows, cols);
+    ``squeeze`` says the inputs were 2D so the composite should stay 2D."""
     ssum = cnt = overlay = None
     squeeze = True
 
-    idx = np.arange(group.num_rows)
-    if order_col is not None and order_col in group.column_names:
-        order_vals = np.asarray(group.column(order_col).to_pylist())
+    idx = np.arange(rows.num_rows)
+    if order_col is not None and order_col in rows.column_names:
+        order_vals = np.asarray(rows.column(order_col).to_pylist())
         idx = idx[np.argsort(order_vals, kind="stable")]
 
-    grids = group.column("grid").to_pylist()
-    fmts = group.column("fmt").to_pylist()
-    blobs = codec.BlobReader(group.column("bytes"))  # zero-copy views
+    grids = rows.column("grid").to_pylist()
+    fmts = rows.column("fmt").to_pylist()
+    blobs = codec.BlobReader(rows.column("bytes"))  # zero-copy views
     for i in idx:
         g = GridSpec.from_dict(grids[i])
-        arr = codec.decode(blobs[i], fmts[i]).astype(np.float64)
-        if arr.ndim == 2:
-            arr = arr[None]
+        summed = fmts[i] == SUM_COUNT_FMT
+        arr = codec.decode(blobs[i], "npy" if summed else fmts[i]).astype(np.float64)
+        if arr.ndim == 2 + summed:
+            arr = arr[:, None] if summed else arr[None]
         else:
             squeeze = False
+        bands = arr.shape[-3]
         if ssum is None:
-            bands = arr.shape[0]
             ssum = np.zeros((bands,) + tuple(target.shape), dtype=np.float64)
             cnt = np.zeros((bands,) + tuple(target.shape), dtype=np.int64)
             overlay = np.full((bands,) + tuple(target.shape), np.nan)
-        elif arr.shape[0] != ssum.shape[0]:
-            raise ValueError(
-                f"band-count mismatch in cell {cid}: {arr.shape[0]} vs {ssum.shape[0]}"
-            )
-        # offsets of this tile on the cell lattice
-        c0 = int(np.rint((g.x_origin - target.x_origin) / cell_size))
-        r0 = int(np.rint((target.y_origin - g.y_origin) / cell_size))
+        elif bands != ssum.shape[0]:
+            raise ValueError(f"band-count mismatch: {bands} vs {ssum.shape[0]}")
+        r0, c0 = _offset(g, target, cell_size)
         r1 = min(r0 + g.rows, target.rows)
         c1 = min(c0 + g.cols, target.cols)
         rr0, cc0 = max(r0, 0), max(c0, 0)
         if rr0 >= r1 or cc0 >= c1:
             continue
-        sub = arr[:, rr0 - r0 : r1 - r0, cc0 - c0 : c1 - c0]
-        valid = np.isfinite(sub)
+        sub = arr[..., rr0 - r0 : r1 - r0, cc0 - c0 : c1 - c0]
         tgt = (slice(None), slice(rr0, r1), slice(cc0, c1))
+        if summed:
+            ssum[tgt] += sub[0]
+            cnt[tgt] += sub[1].astype(np.int64)
+            continue
+        valid = np.isfinite(sub)
         ssum[tgt][valid] += sub[valid]
         cnt[tgt][valid] += 1
         if mode == "mosaic_first":
@@ -343,16 +315,16 @@ def _accumulate_group(
         ssum = np.zeros((1,) + tuple(target.shape), dtype=np.float64)
         cnt = np.zeros((1,) + tuple(target.shape), dtype=np.int64)
         overlay = np.full((1,) + tuple(target.shape), np.nan)
-    return cid, target, ssum, cnt, overlay, squeeze
+    return ssum, cnt, overlay, squeeze
 
 
 def composite_group(
     group: pa.Table, cell_size: float, mode: str = "merge_mean", order_col: Optional[str] = None
 ) -> pa.Table:
     """Per-cell composite: mode in {merge_mean, merge_last, mosaic_first}."""
-    cid, target, ssum, cnt, overlay, squeeze = _accumulate_group(
-        group, cell_size, mode, order_col
-    )
+    cid = int(group.column("cell_key")[0].as_py())
+    target = _cell_lattice_grid(cid, cell_size)
+    ssum, cnt, overlay, squeeze = _accumulate(group, target, cell_size, mode, order_col)
     if mode == "merge_mean":
         with np.errstate(invalid="ignore", divide="ignore"):
             out = np.where(cnt > 0, ssum / np.maximum(cnt, 1), np.nan)
@@ -360,12 +332,15 @@ def composite_group(
         out = overlay
     if squeeze:
         out = out[0]
+    # a pre-combined row counts the tiles folded into it
+    n_images = (int(group.column("n_images").to_numpy().sum())
+                if "n_images" in group.column_names else group.num_rows)
     return pa.Table.from_pydict(
         {
             "cell_key": pa.array([cid], pa.int64()),
             "bytes": pa.array([codec.encode(out.astype(np.float32), "npy")], pa.binary()),
             "fmt": pa.array(["npy"], pa.string()),
-            "n_images": pa.array([group.num_rows], pa.int32()),
+            "n_images": pa.array([n_images], pa.int32()),
             "grid": pa.array(
                 [{k: v for k, v in target.to_dict().items() if k != "type"}],
                 COMPOSITE_SCHEMA.field("grid").type,
@@ -374,58 +349,50 @@ def composite_group(
     )
 
 
-
-def _partial_group(g: pa.Table, cell_size: float) -> pa.Table:
-    """(cell_key[, salt]) group -> one (sum, count) partial-array row."""
-    cid, target, ssum, cnt, _, squeeze = _accumulate_group(g, cell_size, "merge_mean", None)
-    if squeeze:
-        ssum, cnt = ssum[0], cnt[0]
-    return pa.table(
-        {
-            "cell_key": pa.array([cid], pa.int64()),
-            "psum": pa.array([codec.encode(ssum, "npy")], pa.binary()),
-            "pcnt": pa.array([codec.encode(cnt, "npy")], pa.binary()),
-            "grid": pa.array(
-                [{k: v for k, v in target.to_dict().items() if k != "type"}],
-                COMPOSITE_SCHEMA.field("grid").type,
-            ),
-            "n_images": pa.array([g.num_rows], pa.int32()),
-        }
-    )
+def _cell_groups(t: pa.Table):
+    """Slices of ``t`` sorted by cell_key, one per cell."""
+    t = t.sort_by("cell_key")
+    ck = t.column("cell_key").to_numpy()
+    cuts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1], True])
+    return [t.slice(int(a), int(b - a)) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _final_group(g: pa.Table, cell_size: float) -> pa.Table:
-    """Merge a cell's partial (sum, count) arrays -> mean composite row."""
-    cid = int(g.column("cell_key")[0].as_py())
-    target = _cell_lattice_grid(cid, cell_size)
-    ssum = cnt = None  # shape follows the partials (2D or banded 3D)
-    n = 0
-    for i in range(g.num_rows):
-        ps = codec.decode(g.column("psum")[i].as_py(), "npy")
-        pc_ = codec.decode(g.column("pcnt")[i].as_py(), "npy")
-        if ssum is None:
-            ssum = np.zeros_like(ps, dtype=np.float64)
-            cnt = np.zeros_like(pc_, dtype=np.int64)
-        ssum += ps
-        cnt += pc_
-        n += int(g.column("n_images")[i].as_py())
-    if ssum is None:
-        ssum = np.zeros(target.shape, dtype=np.float64)
-        cnt = np.zeros(target.shape, dtype=np.int64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(cnt > 0, ssum / np.maximum(cnt, 1), np.nan)
-    return pa.Table.from_pydict(
-        {
-            "cell_key": pa.array([cid], pa.int64()),
-            "bytes": pa.array([codec.encode(out.astype(np.float32), "npy")], pa.binary()),
-            "fmt": pa.array(["npy"], pa.string()),
-            "n_images": pa.array([n], pa.int32()),
-            "grid": pa.array(
-                [{k: v for k, v in target.to_dict().items() if k != "type"}],
-                COMPOSITE_SCHEMA.field("grid").type,
-            ),
-        }
-    )
+def precombine_block(t: pa.Table, cell_size: float) -> pa.Table:
+    """Map-side skew step of a ``merge_mean`` composite: the tiles of each
+    cell holding at least ``max(2, n // 8)`` of the block's ``n`` rows
+    become one ``SUM_COUNT_FMT`` row over the lattice window they cover;
+    the other tiles pass through.  Keeps the columns the exchange needs."""
+    out = t.select(["cell_key", "bytes", "fmt", "grid"]).append_column(
+        "n_images", pa.array(np.ones(t.num_rows, np.int32)))
+    _, inv, counts = np.unique(out.column("cell_key").to_numpy(), return_inverse=True,
+                               return_counts=True)
+    hot = (counts >= max(2, t.num_rows // 8))[inv]
+    if not hot.any():
+        return out
+    rows = [out.filter(pa.array(~hot))]
+    for g in _cell_groups(out.filter(pa.array(hot))):
+        cid = g.column("cell_key")[0].as_py()
+        target = _cell_lattice_grid(cid, cell_size)
+        spans = []
+        for d in g.column("grid").to_pylist():
+            tile = GridSpec.from_dict(d)
+            r0, c0 = _offset(tile, target, cell_size)
+            spans.append((r0, c0, r0 + tile.rows, c0 + tile.cols))
+        r0, c0 = np.min(spans, axis=0)[:2]
+        r1, c1 = np.max(spans, axis=0)[2:]
+        window = GridSpec(crs="EPSG:4326", x_origin=target.x_origin + c0 * cell_size,
+                          y_origin=target.y_origin - r0 * cell_size, cell_width=cell_size,
+                          cell_height=-cell_size, rows=int(r1 - r0), cols=int(c1 - c0))
+        ssum, cnt, _, squeeze = _accumulate(g, window, cell_size, "merge_mean", None)
+        stack = np.stack([ssum, cnt.astype(np.float64)])
+        rows.append(pa.Table.from_pydict({
+            "cell_key": [cid],
+            "bytes": [codec.encode(stack[:, 0] if squeeze else stack, "npy")],
+            "fmt": [SUM_COUNT_FMT],
+            "grid": [{k: v for k, v in window.to_dict().items() if k != "type"}],
+            "n_images": [g.num_rows],
+        }, schema=out.schema))
+    return pa.concat_tables(rows)
 
 
 def composite_cells(
@@ -433,171 +400,24 @@ def composite_cells(
     cell_size: float,
     mode: str = "merge_mean",
     order_col: Optional[str] = None,
-    salt=0,
-    hot_threshold: Optional[int] = None,
+    salt=None,
 ):
-    """groupby(cell_key).map_groups composite with explicit skew handling.
+    """Dataset[tiles] -> Dataset[COMPOSITE_SCHEMA], one row per cell_key,
+    through one hash exchange on cell_key (``util.exchange``): each
+    partition sorts its rows by cell and runs ``composite_group`` per cell.
+    ``order_col`` sets the precedence of ``mosaic_first``.  ``merge_mean``
+    first pre-combines hot cells block by block (``precombine_block``); a
+    (sum, count) row adds like the tiles it replaces, so this changes how
+    many rows cross the exchange, not the composite (float sums follow
+    arrival order either way).
+    ``salt`` is accepted and ignored: perfbench's composite workload still
+    passes ``salt="auto"``."""
+    if mode == "merge_mean":
+        tiles_ds = tiles_ds.map_batches(lambda t: precombine_block(t, cell_size),
+                                        batch_format="pyarrow")
 
-    salt=0: one groupby (fast when no group exceeds ~10^4 tiles).
-    salt=N: two-phase (cell_key, salt) -> cell_key for EVERY cell — pays a
-      full-cell partial array per salt bucket, so only worth it when most
-      cells are huge.
-    salt="auto": SINGLE streaming pass, zero driver participation. Each
-      block tags its own rows: a cell holding a large share of the block
-      (see ``hot_threshold``) gets a deterministic hash salt (16 buckets),
-      the cold majority gets salt 0, and everything flows through the
-      two-phase (cell_key, salt) -> cell_key lattice. Block-LOCAL
-      detection is sound because the skew regime this targets is
-      orders-of-magnitude (a cell with 10^5+ tiles dominates every block
-      it appears in — the same argument as ``skew_join``), and because
-      the (sum, count) partials re-merge exactly, the salt choice can
-      only affect performance, never the result. Cold cells pay one
-      extra tiny (sum,count) hop; there is no count pre-pass, no
-      ``materialize()``, and the upstream pipeline executes ONCE.
+    def combine(part: pa.Table) -> pa.Table:
+        return pa.concat_tables(
+            [composite_group(g, cell_size, mode, order_col) for g in _cell_groups(part)])
 
-    Salting is only valid for modes whose partials merge associatively —
-    merge_mean re-merges (sum, count) arrays exactly."""
-    if salt == "auto" and mode == "merge_mean":
-        from ..util import hash_u64
-
-        thr = hot_threshold or 50_000
-
-        def tag_salt(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            salts = np.zeros(n, dtype=np.int64)
-            if n:
-                ck = t.column("cell_key").to_numpy()
-                uniq, inv, counts = np.unique(ck, return_inverse=True, return_counts=True)
-                # block-local hot rule: an explicit small hot_threshold
-                # (tests) applies directly; otherwise a cell is hot when
-                # it holds >=12.5% of a non-trivial block — the scale-free
-                # signature of orders-of-magnitude global skew
-                local_thr = min(thr, max(2, n // 8))
-                hot_mask = (counts >= local_thr)[inv]
-                if hot_mask.any():
-                    hv = (hash_u64(t.column("image_id")) % np.uint64(16)).astype(np.int64)
-                    salts[hot_mask] = hv[hot_mask]
-            return t.append_column("salt", pa.array(salts, pa.int64()))
-
-        return (
-            tiles_ds.map_batches(tag_salt, batch_format="pyarrow")
-            .groupby(["cell_key", "salt"])
-            .map_groups(lambda g: _partial_group(g, cell_size), batch_format="pyarrow")
-            .groupby("cell_key")
-            .map_groups(lambda g: _final_group(g, cell_size), batch_format="pyarrow")
-        )
-
-    if not isinstance(salt, int) or salt <= 0 or mode != "merge_mean":
-        return tiles_ds.groupby("cell_key").map_groups(
-            lambda g: composite_group(g, cell_size, mode, order_col),
-            batch_format="pyarrow",
-        )
-
-    # phase 1: salted partial composites emit (sum, count) arrays.
-    # salt hash must be deterministic ACROSS worker processes (Python's
-    # str hash is per-process salted) -> crc32.
-    import zlib
-
-    def salted(t: pa.Table) -> pa.Table:
-        hv = np.array(
-            [zlib.crc32(v.encode()) % salt for v in t.column("image_id").to_pylist()],
-            dtype=np.int64,
-        )
-        return t.append_column("salt", pa.array(hv, pa.int64()))
-
-    return (
-        tiles_ds.map_batches(salted, batch_format="pyarrow")
-        .groupby(["cell_key", "salt"])
-        .map_groups(lambda g: _partial_group(g, cell_size), batch_format="pyarrow")
-        .groupby("cell_key")
-        .map_groups(lambda g: _final_group(g, cell_size), batch_format="pyarrow")
-    )
-
-
-def partial_lattice_best(batch: pa.Table, cell_size: float,
-                         order_col: str = "order",
-                         quality_col: str = "quality") -> pa.Table:
-    """Per-batch combiner for BEST-available-pixel (argmax-quality)
-    compositing — the third classic EO compositing mode beside mean
-    (merge) and first-valid (mosaic): per lattice pixel keep the packed
-    int64 ``quality << 44 | order << 24 | value`` MAXIMUM, i.e. the value
-    of the highest-quality covering scene, ties broken by the larger
-    order.  Same order-independent re-mergeable shape as
-    :func:`partial_lattice_first` (values < 2^24, orders < 2^20,
-    qualities < 2^19)."""
-    grids = batch.column("grid").to_pylist()
-    fmts = batch.column("fmt").to_pylist()
-    blobs = codec.BlobReader(batch.column("bytes"))
-    orders = batch.column(order_col).to_pylist()
-    quals = batch.column(quality_col).to_pylist()
-    keys_parts, packed_parts = [], []
-    for i in range(batch.num_rows):
-        grid = GridSpec.from_dict(grids[i])
-        arr = codec.decode(blobs[i], fmts[i]).astype(np.float64)
-        if arr.ndim != 2:
-            raise ValueError("best-pixel combiner is per-band")
-        q, o = int(quals[i]), int(orders[i])
-        if not (0 <= q < (1 << 19) and 0 <= o < (1 << 20)):
-            raise ValueError("quality must fit 19 bits, order 20 bits")
-        gx, gy = lattice_indices(grid, cell_size)
-        gxm, gym = np.meshgrid(gx, gy)
-        valid = np.isfinite(arr)
-        key = (gym.astype(np.int64) << 32) | gxm.astype(np.int64)
-        vals = np.rint(arr[valid]).astype(np.int64)
-        if vals.size and (vals.min() < 0 or vals.max() >= (1 << 24)):
-            raise ValueError("best-pixel packing needs values in [0, 2^24)")
-        keys_parts.append(key[valid].ravel())
-        packed_parts.append(
-            (np.int64(q) << 44) | (np.int64(o) << 24) | vals.ravel()
-        )
-    if not keys_parts:
-        return pa.schema(
-            [("gx", pa.int64()), ("gy", pa.int64()), ("packed", pa.int64())]
-        ).empty_table()
-    keys = np.concatenate(keys_parts)
-    packed = np.concatenate(packed_parts)
-    uniq, inv = np.unique(keys, return_inverse=True)
-    best = np.full(uniq.size, -1, dtype=np.int64)
-    np.maximum.at(best, inv, packed)
-    return pa.table(
-        {
-            "gx": pa.array(uniq & 0xFFFFFFFF, pa.int64()),
-            "gy": pa.array(uniq >> 32, pa.int64()),
-            "packed": pa.array(best, pa.int64()),
-        }
-    )
-
-
-def mosaic_best_lattice(images_ds, cell_size: float, order_col: str = "order",
-                        quality_col: str = "quality",
-                        batch_size: int = 32):
-    """Two-phase argmax-quality composite -> Dataset[(gx, gy, value,
-    win_order)] — partial packed-max per batch, one hash exchange on
-    (gx, gy), vectorized max combine per partition, unpack."""
-    partials = images_ds.map_batches(
-        lambda t: partial_lattice_best(t, cell_size, order_col, quality_col),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
-
-    def combine(group: pa.Table) -> pa.Table:
-        gx = group.column("gx").to_numpy()
-        gy = group.column("gy").to_numpy()
-        key = (gy << 32) | gx
-        uniq, inv = np.unique(key, return_inverse=True)
-        best = np.full(uniq.size, -1, dtype=np.int64)
-        np.maximum.at(best, inv, group.column("packed").to_numpy())
-        return pa.table(
-            {
-                "gx": pa.array(uniq & 0xFFFFFFFF, pa.int64()),
-                "gy": pa.array(uniq >> 32, pa.int64()),
-                "value": pa.array(best & 0xFFFFFF, pa.int64()),
-                "win_order": pa.array((best >> 24) & 0xFFFFF, pa.int64()),
-            }
-        )
-
-    out_schema = pa.schema(
-        [("gx", pa.int64()), ("gy", pa.int64()),
-         ("value", pa.int64()), ("win_order", pa.int64())]
-    )
-    return exchange(partials, ["gx", "gy"], combine, out_schema)
+    return exchange(tiles_ds, ["cell_key"], combine, COMPOSITE_SCHEMA)

@@ -30,7 +30,7 @@ from .. import codec
 from ..grids import cellkey
 from ..grids.covering import covering_rows, ragged
 from ..grids.windows import point_cells
-from ..proj import transform_xy
+from ..proj import parse_crs, transform_xy
 from ..util import exchange, fetch
 
 JOIN_SCHEMA = pa.schema(
@@ -96,13 +96,34 @@ class PointBuckets:
         return lo[k] + o
 
 
+def _boundary_bbox(x0, y0, cw, ch, rows, cols, crs: str) -> tuple:
+    """EPSG:4326 (xmin, ymin, xmax, ymax) arrays of grids in ``crs``: the
+    bbox of each grid's boundary pixel corners, transformed in one call.
+    ``minimum``/``maximum`` keep NaN, so a corner with no geographic
+    position makes its grid's bbox non-finite."""
+    nx, ny = cols + 1, rows + 1
+    counts = 2 * (nx + ny)
+    img, k = ragged(counts)
+    nx, ny, k2 = nx[img], ny[img], k - 2 * nx[img]
+    # top then bottom edge (k < 2 nx), then left then right edge
+    side = k2 >= 0
+    j = np.where(side, np.where(k2 < ny, 0, cols[img]), k % nx)
+    i = np.where(side, k2 % ny, np.where(k < nx, 0, rows[img]))
+    lon, lat = transform_xy(x0[img] + cw[img] * j, y0[img] + ch[img] * i, crs, "EPSG:4326")
+    starts = np.cumsum(counts) - counts
+    return (np.minimum.reduceat(lon, starts), np.minimum.reduceat(lat, starts),
+            np.maximum.reduceat(lon, starts), np.maximum.reduceat(lat, starts))
+
+
 def sample_points_batch(batch: pa.Table, buckets: PointBuckets, level: int) -> pa.Table:
     """Join one image batch to the point buckets in one array pass.
 
     Per image, the bbox of cell corners (``GridSpec.bbox``) comes from the
-    ``grid`` struct columns, and ``grids.covering.covering_rows`` expands
-    the covering cells to (image, cell) rows in the iy-major, ix-fastest
-    order of ``cellkey.covering_cells``.  One ``searchsorted`` pair finds
+    ``grid`` struct columns (for a projected grid, the EPSG:4326 bbox of
+    its boundary's pixel corners, one transform per distinct CRS), and
+    ``grids.covering.covering_rows`` expands the covering cells to (image,
+    cell) rows in the iy-major, ix-fastest order of
+    ``cellkey.covering_cells``.  One ``searchsorted`` pair finds
     each cell's slice of the sorted points, and a second ragged expansion
     (``grids.covering.ragged``) gives (image, candidate) rows.  The
     candidates move to each image's CRS once per distinct CRS, then one
@@ -134,6 +155,12 @@ def sample_points_batch(batch: pa.Table, buckets: PointBuckets, level: int) -> p
     xmax = np.maximum(x0, ex)
     ymin = np.minimum(y0, ey)
     ymax = np.maximum(y0, ey)
+    crs = pc.struct_field(grid, "crs")
+    for code in pc.unique(crs).to_pylist():
+        if parse_crs(code).kind != "geographic":
+            sel = np.flatnonzero(pc.equal(crs, code).to_numpy(zero_copy_only=False))
+            xmin[sel], ymin[sel], xmax[sel], ymax[sel] = _boundary_bbox(
+                x0[sel], y0[sel], cw[sel], ch[sel], rows[sel], cols[sel], code)
     bad = ~np.isfinite(np.stack([xmin, ymin, xmax, ymax])).all(axis=0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
@@ -151,7 +178,6 @@ def sample_points_batch(batch: pa.Table, buckets: PointBuckets, level: int) -> p
     # candidates in each image's native CRS
     px = buckets.lon[cand]
     py = buckets.lat[cand]
-    crs = pc.struct_field(grid, "crs")
     for code in pc.unique(crs).to_pylist():
         if code != "EPSG:4326":
             sel = pc.equal(crs, code).to_numpy(zero_copy_only=False)[cimg]

@@ -18,14 +18,20 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
+from rasters_ray import codec
 from rasters_ray.sources import make_oracle_images, oracle_grid_origin
-from rasters_ray.stages import merge_mean_lattice, sample_points
-from rasters_ray.stages.composite import mosaic_best_lattice, mosaic_first_lattice
+from rasters_ray.stages import composite_cells, make_tiles, merge_mean_lattice, sample_points
+from rasters_ray.stages.composite import (
+    composite_group,
+    mosaic_best_lattice,
+    mosaic_first_lattice,
+)
 from rasters_ray.stages.point_join import JOIN_SCHEMA, PointBuckets, sample_points_batch
 
 LEVEL = 8
 ANTI_JOIN_CASES = ["none_matched", "all_matched", "no_images", "split_blocks"]
 LATTICES = ["merge_mean", "mosaic_first", "mosaic_best"]
+COMPOSITES = ["merge_mean", "merge_mean_banded", "mosaic_first"]
 
 
 def _points(ids, xy) -> pa.Table:
@@ -113,11 +119,59 @@ def run_lattice(name: str) -> str:
         out = mosaic_first_lattice(ds, 0.01, order_col="order")
     else:
         out = mosaic_best_lattice(ds, 0.01)
-    t = _table(out).sort_by([("gx", "ascending"), ("gy", "ascending")])
+    return _digest(_table(out).sort_by([("gx", "ascending"), ("gy", "ascending")]))
+
+
+def _digest(t: pa.Table) -> str:
     h = hashlib.sha256(repr(t.schema).encode())
     for c in t.column_names:
-        h.update(np.ascontiguousarray(t.column(c).to_numpy()).tobytes())
+        h.update(repr(t.column(c).to_pylist()).encode())
     return f"{t.num_rows}:{h.hexdigest()}"
+
+
+def composite_case(name: str):
+    """(tile blocks, mode, order_col) of one case: the level-9 tiles of
+    8 oracle images in three blocks (``order`` decreasing with the tile),
+    then a block of the fullest cell's tiles repeated past 12 rows, which
+    the ``merge_mean`` pre-combine folds into one row."""
+    imgs = make_oracle_images(np.arange(8))
+    if name == "merge_mean_banded":
+        base = [codec.decode(v.as_py(), f.as_py())
+                for v, f in zip(imgs.column("bytes"), imgs.column("fmt"))]
+        stacks = [codec.encode(np.stack([(a + 31.0 * b) % 251.0 for b in range(3)]).astype(np.float32),
+                               "npy") for a in base]
+        imgs = imgs.set_column(imgs.column_names.index("bytes"), "bytes", pa.array(stacks))
+    tiles = make_tiles(imgs, 9)
+    n = tiles.num_rows
+    tiles = tiles.append_column("order", pa.array(np.arange(n, 0, -1), pa.int64()))
+    ck = tiles.column("cell_key").to_numpy()
+    cells, counts = np.unique(ck, return_counts=True)
+    hot = tiles.filter(pa.array(ck == cells[counts.argmax()]))
+    blocks = [tiles.slice(0, n // 3), tiles.slice(n // 3, n // 3), tiles.slice(2 * (n // 3))]
+    blocks.append(pa.concat_tables([hot] * (12 // hot.num_rows + 1)))
+    if name == "mosaic_first":
+        return blocks, "mosaic_first", "order"
+    return blocks, "merge_mean", None
+
+
+def run_composite(name: str) -> str:
+    """Digest of ``composite_cells`` over one case, sorted by cell_key."""
+    import ray.data as rd
+
+    blocks, mode, order_col = composite_case(name)
+    out = composite_cells(rd.from_arrow(blocks), 0.01, mode, order_col)
+    return _digest(_table(out).sort_by("cell_key"))
+
+
+def composite_reference(name: str) -> str:
+    """Single-process ``composite_group`` over each cell's raw tiles."""
+    blocks, mode, order_col = composite_case(name)
+    tiles = pa.concat_tables(blocks).sort_by("cell_key")
+    ck = tiles.column("cell_key").to_numpy()
+    cuts = np.flatnonzero(np.r_[True, ck[1:] != ck[:-1], True])
+    return _digest(pa.concat_tables(
+        [composite_group(tiles.slice(a, b - a), 0.01, mode, order_col)
+         for a, b in zip(cuts[:-1], cuts[1:])]))
 
 
 _ONE_CPU = """
@@ -128,7 +182,8 @@ ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ER
 rd.DataContext.get_current().enable_progress_bars = False
 import test_exchange as t
 out = {"anti_join": {c: t.run_anti_join(c) for c in t.ANTI_JOIN_CASES},
-       "lattice": {c: t.run_lattice(c) for c in t.LATTICES}}
+       "lattice": {c: t.run_lattice(c) for c in t.LATTICES},
+       "composite": {c: t.run_composite(c) for c in t.COMPOSITES}}
 print(json.dumps(out))
 ray.shutdown()
 """
@@ -179,6 +234,13 @@ def test_anti_join_cases_cover_hits_and_misses():
 @pytest.mark.parametrize("name", LATTICES)
 def test_lattice_combines_agree_across_plans(ray_session, one_cpu_results, name):
     assert run_lattice(name) == one_cpu_results["lattice"][name]
+
+
+@pytest.mark.parametrize("name", COMPOSITES)
+def test_composite_cells_agree_across_plans(ray_session, one_cpu_results, name):
+    want = composite_reference(name)
+    assert run_composite(name) == want
+    assert one_cpu_results["composite"][name] == want
 
 
 def test_n_part_exchange_with_more_parts_than_rows_yields_typed_blocks(ray_session):

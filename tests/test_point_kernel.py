@@ -15,7 +15,7 @@ import pytest
 
 import rasters_ray.codec as codec
 from rasters_ray.grids import GridSpec, cellkey
-from rasters_ray.proj import transform_xy
+from rasters_ray.proj import parse_crs, transform_xy
 from rasters_ray.sources.images import IMAGES_SCHEMA
 from rasters_ray.stages.point_join import JOIN_SCHEMA, PointBuckets, sample_points_batch
 
@@ -52,6 +52,19 @@ def _reference_lookup(ref, cells) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
+def _reference_bbox(grid: GridSpec) -> tuple:
+    """A geographic grid's own bbox; for a projected grid, the EPSG:4326
+    bbox of its boundary's pixel corners."""
+    if parse_crs(grid.crs).kind == "geographic":
+        return grid.bbox
+    corners = [(j, i) for j in range(grid.cols + 1) for i in (0, grid.rows)]
+    corners += [(j, i) for i in range(grid.rows + 1) for j in (0, grid.cols)]
+    x = [grid.x_origin + grid.cell_width * j for j, _ in corners]
+    y = [grid.y_origin + grid.cell_height * i for _, i in corners]
+    lon, lat = transform_xy(np.array(x), np.array(y), grid.crs, "EPSG:4326")
+    return lon.min(), lat.min(), lon.max(), lat.max()  # NaN if any corner is
+
+
 def _reference_sample(batch: pa.Table, ref, level: int) -> pa.Table:
     grids = batch.column("grid").to_pylist()
     image_ids = batch.column("image_id").to_pylist()
@@ -60,7 +73,7 @@ def _reference_sample(batch: pa.Table, ref, level: int) -> pa.Table:
     cols = {name: [] for name in ("pid", "img", "row", "col", "val")}
     for i in range(batch.num_rows):
         grid = GridSpec.from_dict(grids[i])
-        cand = _reference_lookup(ref, cellkey.covering_cells(level, grid.bbox))
+        cand = _reference_lookup(ref, cellkey.covering_cells(level, _reference_bbox(grid)))
         if cand.size == 0:
             continue
         px, py = ref.lon[cand], ref.lat[cand]
@@ -194,13 +207,13 @@ def _assert_same(batch, points):
 def test_kernel_equals_per_image_reference():
     out = _assert_same(_batch(), _mixed_points())
     images = set(out.column("image_id").to_pylist())
-    # straddlers, the 1x1 image, the overlap and both transformed grids hit
+    # straddlers, the 1x1 image, the overlap and the transformed grids hit
     assert {"img_a", "img_east", "img_west", "img_1x1", "img_b", "img_a2", "img_ll",
-            "img_ll2", "img_ll_east"} <= images
-    # known defect (ROADMAP): a UTM grid's covering cells come from its
-    # metre bbox, so the points inside img_utm are never candidates, in
-    # the reference as in the kernel
-    assert not images & {"img_far", "img_utm"}
+            "img_ll2", "img_ll_east", "img_utm"} <= images
+    assert "img_far" not in images
+    # the UTM grid covers the geographic bbox of its corners, so the 10
+    # points placed inside it are found
+    assert out.column("image_id").to_pylist().count("img_utm") == 10
 
 
 @pytest.mark.parametrize("lo,n", [(0, 1), (1, 1), (3, 2), (5, 3), (2, 1), (8, 2)])
@@ -244,6 +257,16 @@ def test_kernel_bad_grid_raises_like_per_image_path(field, value, message):
     with pytest.raises(ValueError, match=message):
         _reference_sample(batch, _reference_buckets(points, LEVEL), LEVEL)
     with pytest.raises(ValueError, match=message):
+        sample_points_batch(batch, PointBuckets(points, LEVEL), LEVEL)
+
+
+def test_kernel_projected_grid_off_the_globe_raises():
+    # easting 1e8 m has no geographic position: the bbox is not finite
+    batch = _images([("far", _grid(UTM, 1e8, 4e6, 30.0, 10, 10), "npy")])
+    points = _mixed_points()
+    with pytest.raises(ValueError, match="finite bbox"):
+        _reference_sample(batch, _reference_buckets(points, LEVEL), LEVEL)
+    with pytest.raises(ValueError, match="finite bbox"):
         sample_points_batch(batch, PointBuckets(points, LEVEL), LEVEL)
 
 

@@ -113,20 +113,6 @@ def test_composite_cells_mean(ray_session, oracle_images_ds):
         assert arr[finite].max() <= 250.0
 
 
-def test_composite_salted_equals_unsalted(ray_session, oracle_images_ds):
-    tiles = tile_images(oracle_images_ds, level=9).materialize()
-    plain = composite_cells(tiles, 0.01, "merge_mean").to_pandas()
-    salted = composite_cells(tiles, 0.01, "merge_mean", salt=4).to_pandas()
-    assert len(plain) == len(salted)
-    p = plain.sort_values("cell_key").reset_index(drop=True)
-    s = salted.sort_values("cell_key").reset_index(drop=True)
-    for i in range(len(p)):
-        a = codec.decode(p["bytes"][i], "npy")
-        b = codec.decode(s["bytes"][i], "npy")
-        np.testing.assert_allclose(a, b, equal_nan=True, rtol=1e-6)
-        assert p["n_images"][i] == s["n_images"][i]
-
-
 def test_mosaic_first_valid_wins(ray_session):
     from rasters_ray.grids import cellkey
 
@@ -222,53 +208,10 @@ def rd_from_band(ray_session, band: int, n=4):
     return rd.from_arrow(shift(base))
 
 
-def test_composite_salted_banded_equals_plain(ray_session):
-    from rasters_ray.stages import tile_images
-
-    ds = _banded_tiles_ds(ray_session)
-    tiles = tile_images(ds, level=9).materialize()
-    plain = composite_cells(tiles, 0.01, "merge_mean").to_pandas()
-    salted = composite_cells(tiles, 0.01, "merge_mean", salt=3).to_pandas()
-    p = plain.sort_values("cell_key").reset_index(drop=True)
-    s = salted.sort_values("cell_key").reset_index(drop=True)
-    assert len(p) == len(s)
-    for i in range(len(p)):
-        np.testing.assert_allclose(
-            codec.decode(p["bytes"][i], "npy"),
-            codec.decode(s["bytes"][i], "npy"),
-            equal_nan=True,
-            rtol=1e-6,
-        )
-
-
 def test_lattice_combiner_rejects_bands(ray_session):
     ds = _banded_tiles_ds(ray_session, n=2)
     with pytest.raises(Exception):
         merge_mean_lattice(ds, 0.01).to_pandas()
-
-
-def test_composite_auto_salt_single_pass_equals_plain(ray_session, oracle_images_ds):
-    tiles = tile_images(oracle_images_ds, level=9).materialize()
-    plain = composite_cells(tiles, 0.01, "merge_mean").to_pandas()
-    # hot_threshold=1 forces EVERY row to take a nonzero hash salt; a huge
-    # threshold falls back to the block-share rule (only block-dominant
-    # cells salted). Either way the two-phase partials re-merge exactly.
-    for thr in (1, 10**9):
-        auto = composite_cells(
-            tiles, 0.01, "merge_mean", salt="auto", hot_threshold=thr
-        ).to_pandas()
-        p = plain.sort_values("cell_key").reset_index(drop=True)
-        a = auto.sort_values("cell_key").reset_index(drop=True)
-        assert len(p) == len(a)
-        for i in range(len(p)):
-            np.testing.assert_allclose(
-                codec.decode(p["bytes"][i], "npy"),
-                codec.decode(a["bytes"][i], "npy"),
-                equal_nan=True,
-                rtol=1e-6,
-                err_msg=f"thr={thr}",
-            )
-            assert p["n_images"][i] == a["n_images"][i]
 
 
 def test_zonal_stats_hand_computed(ray_session):
@@ -340,3 +283,72 @@ def test_ray_drops_typed_empty_batches(ray_session):
         f"Ray now preserves typed empty schemas ({schemas}); "
         "bench.py's RefBundle log filter can be removed"
     )
+
+
+def _cell_tiles(x=-119.95, y=39.95, n=12, bands=None, seed=5) -> pa.Table:
+    """``n`` overlapping lattice-aligned 10x10 tiles inside the level-9
+    cell of (x, y): integer values with NaN holes, ``(bands, 10, 10)``
+    stacks when ``bands`` is set."""
+    from rasters_ray.grids import cellkey
+    from rasters_ray.sources.images import GRID_STRUCT
+
+    cid = int(cellkey.cell_id(9, x, y))
+    xmin, _, _, ymax = cellkey.cell_bounds(cid)
+    x0, y0 = np.ceil(xmin * 100) / 100, np.floor(ymax * 100) / 100
+    rng = np.random.default_rng(seed)
+    shape = (10, 10) if bands is None else (bands, 10, 10)
+    blobs, grids = [], []
+    for k in range(n):
+        px = rng.integers(0, 250, shape).astype(np.float32)
+        px[..., k % 7, :3] = np.nan
+        blobs.append(codec.encode(px, "npy"))
+        grids.append({"crs": "EPSG:4326", "x_origin": round(x0 + 0.03 * k, 2),
+                      "y_origin": round(y0 - 0.02 * k, 2), "cell_width": 0.01,
+                      "cell_height": -0.01, "rows": 10, "cols": 10})
+    return pa.table({
+        "cell_key": pa.array([cid] * n, pa.int64()),
+        "image_id": pa.array([f"{cid}-{k}" for k in range(n)], pa.string()),
+        "bytes": pa.array(blobs, pa.binary()),
+        "fmt": pa.array(["npy"] * n, pa.string()),
+        "grid": pa.array(grids, GRID_STRUCT),
+    })
+
+
+@pytest.mark.parametrize("bands", [None, 3])
+def test_composite_hot_cell_equals_composite_group(ray_session, bands):
+    import ray.data as rd
+
+    from rasters_ray.stages.composite import composite_group
+
+    tiles = _cell_tiles(bands=bands)
+    want = composite_group(tiles, 0.01, "merge_mean")
+    # one block (one pre-combined row) and two blocks (up to two rows)
+    for blocks in ([tiles], [tiles.slice(0, 5), tiles.slice(5)]):
+        got = composite_cells(rd.from_arrow(blocks), 0.01, "merge_mean").to_pandas()
+        assert len(got) == 1
+        assert got["bytes"][0] == want.column("bytes")[0].as_py()  # bit-identical
+        assert got["n_images"][0] == tiles.num_rows
+        assert got["grid"][0] == want.column("grid")[0].as_py()
+        arr = codec.decode(got["bytes"][0], "npy")
+        assert arr.ndim == (2 if bands is None else 3)
+        assert np.isfinite(arr).any()
+
+
+def test_precombine_emits_one_row_per_hot_cell_per_block():
+    import pyarrow.compute as pc
+
+    from rasters_ray.stages.composite import SUM_COUNT_FMT, composite_group, precombine_block
+
+    hot = [_cell_tiles(), _cell_tiles(-100.0, 20.0, n=6, seed=6)]
+    cold = pa.concat_tables([_cell_tiles(10.0 + k, 5.0, n=1, seed=k) for k in range(30)])
+    # 48 rows: a cell is hot when it holds >= 48 // 8 = 6 of them
+    out = precombine_block(pa.concat_tables([hot[0], cold, hot[1]]), 0.01)
+    summed = out.filter(pc.equal(out.column("fmt"), SUM_COUNT_FMT))
+    assert summed.column("cell_key").to_pylist() == [h.column("cell_key")[0].as_py() for h in hot]
+    assert summed.column("n_images").to_pylist() == [12, 6]
+    for k, h in enumerate(hot):  # each pre-combined row re-merges to its tiles' composite
+        assert composite_group(summed.slice(k, 1), 0.01).equals(composite_group(h, 0.01))
+    raw = out.filter(pc.not_equal(out.column("fmt"), SUM_COUNT_FMT))
+    assert raw.column("bytes").equals(cold.column("bytes"))  # cold tiles pass through raw
+    # a block without a dominant cell passes through unchanged
+    assert precombine_block(cold, 0.01).column("bytes").equals(cold.column("bytes"))
