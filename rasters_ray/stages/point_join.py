@@ -243,10 +243,11 @@ def sample_points(
 
     # anti-join FUSED into one exchange: union(matched rows, one marker
     # row per point), hash-exchanged on point_id (``util.exchange``: one
-    # part per cluster CPU; on one CPU a single block with no hash tag and
-    # no sort). Inside each part (vectorized, no per-key Python) the
-    # matched rows pass through unchanged and markers whose point_id never
-    # matched emit the NaN miss row (raster.py:701-703 semantics). The
+    # part per cluster CPU; on one CPU a single gather task over every
+    # row, with no repartition, hash tag or sort). Inside each part
+    # (vectorized, no per-key Python) the matched rows pass through
+    # unchanged and markers whose point_id never matched emit the NaN
+    # miss row (raster.py:701-703 semantics). The
     # sampling stage executes exactly ONCE, nothing is materialized, and
     # no id set ever reaches the driver — the distributed form of a
     # left-anti join, specialised so the matched stream is consumed a

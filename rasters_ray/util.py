@@ -118,6 +118,11 @@ def map_groups_typed(ds, keys, fn, out_schema):
     )
 
 
+# A ``map_batches`` batch size no dataset reaches: the map's bundler
+# then waits for every input block and hands one task all the rows.
+GATHER_ROWS = 1 << 62
+
+
 def exchange(ds, keys, fn, out_schema):
     """One hash exchange: ``fn(part)`` runs once per partition and sees
     every row of each key in that partition, in no particular order.
@@ -125,8 +130,12 @@ def exchange(ds, keys, fn, out_schema):
     The part count ``n`` is the cluster's CPU count, read when the
     dataset is built.  Two plans:
 
-    - ``n == 1``: ``repartition(1)`` and one ``fn`` over the whole
-      dataset — no hash tag, no sort, no boundary sampling;
+    - ``n == 1``: one gather task — a ``map_batches`` whose batch holds
+      every row (``GATHER_ROWS``) runs ``fn`` once over the whole
+      dataset, with no repartition, hash tag, sort or boundary
+      sampling.  Its ``concurrency=1`` task pool keeps Ray from fusing
+      it into the upstream map, so upstream stages still stream, one
+      task per batch, instead of one task holding every input;
     - ``n > 1``: each row is tagged with ``hash_parts_cols(keys, n)``
       and sorted on the tag with the known boundaries ``1 .. n-1``, so
       Ray skips its sampling pass and returns exactly ``n`` blocks.
@@ -145,7 +154,7 @@ def exchange(ds, keys, fn, out_schema):
     n = max(1, int(ray.cluster_resources().get("CPU", 1)))
     apply = _typed_blocks(lambda part: [fn(part)], out_schema)
     if n == 1:
-        return ds.repartition(1).map_batches(apply, batch_size=None, batch_format="pyarrow")
+        return ds.map_batches(apply, batch_size=GATHER_ROWS, concurrency=1, batch_format="pyarrow")
 
     def tag(t: pa.Table) -> pa.Table:
         pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)

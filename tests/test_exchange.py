@@ -1,11 +1,12 @@
 """``util.exchange`` and the steps routed through it, under both plans.
 
 The Tier-1 session has 4 CPUs, so ``exchange`` runs its n-part plan
-(hash tag + known-boundary sort) there.  The 1-part plan (one
-``repartition(1)`` block, no tag, no sort) runs in a ``num_cpus=1``
-session in a subprocess, which computes every case once
-(``one_cpu_results``).  Both must equal the same single-process
-reference."""
+(hash tag + known-boundary sort) there.  The 1-part plan (one gather
+task: a ``concurrency=1`` map whose batch holds every row, no tag, no
+sort, no repartition) runs in a ``num_cpus=1`` session in a subprocess,
+which computes every case once and records the operators two of them
+executed (``one_cpu_results``).  Both plans must equal the same
+single-process reference."""
 
 import hashlib
 import json
@@ -20,7 +21,13 @@ import pytest
 
 from rasters_ray import codec
 from rasters_ray.sources import make_oracle_images, oracle_grid_origin
-from rasters_ray.stages import composite_cells, make_tiles, merge_mean_lattice, sample_points
+from rasters_ray.stages import (
+    composite_cells,
+    crosstab_images,
+    make_tiles,
+    merge_mean_lattice,
+    sample_points,
+)
 from rasters_ray.stages.composite import (
     composite_group,
     mosaic_best_lattice,
@@ -96,17 +103,35 @@ def _table(ds) -> pa.Table:
     return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs()))
 
 
-def run_anti_join(name: str) -> list:
+def executed_operators(ds) -> list:
+    """[operator name, tasks] of each operator ``ds`` executes, upstream
+    first, from its stats after one execution."""
+    out = []
+
+    def walk(summary):
+        for parent in summary.parents:
+            walk(parent)
+        for op in summary.operators_stats:
+            out.append([op.operator_name, int((op.task_rows or {}).get("count", 0))])
+
+    walk(ds.materialize()._get_stats_summary())
+    return out
+
+
+def anti_join_ds(name: str):
     import ray.data as rd
 
     blocks, points, batch_size = anti_join_case(name)
-    ds = sample_points(rd.from_arrow(blocks), points, level=LEVEL, include_misses=True,
-                       batch_size=batch_size)
-    return _rows(_table(ds))
+    return sample_points(rd.from_arrow(blocks), points, level=LEVEL, include_misses=True,
+                         batch_size=batch_size)
 
 
-def run_lattice(name: str) -> str:
-    """Digest of one lattice combine over 8 oracle images, sorted by (gx, gy)."""
+def run_anti_join(name: str) -> list:
+    return _rows(_table(anti_join_ds(name)))
+
+
+def lattice_ds(name: str):
+    """One lattice combine over 8 oracle images in two blocks."""
     import ray.data as rd
 
     imgs = make_oracle_images(np.arange(8))
@@ -114,12 +139,30 @@ def run_lattice(name: str) -> str:
     imgs = imgs.append_column("order", pa.array(d)).append_column("quality", pa.array((d * 37) % 11))
     ds = rd.from_arrow([imgs.slice(0, 3), imgs.slice(3)])
     if name == "merge_mean":
-        out = merge_mean_lattice(ds, 0.01)
-    elif name == "mosaic_first":
-        out = mosaic_first_lattice(ds, 0.01, order_col="order")
-    else:
-        out = mosaic_best_lattice(ds, 0.01)
-    return _digest(_table(out).sort_by([("gx", "ascending"), ("gy", "ascending")]))
+        return merge_mean_lattice(ds, 0.01)
+    if name == "mosaic_first":
+        return mosaic_first_lattice(ds, 0.01, order_col="order")
+    return mosaic_best_lattice(ds, 0.01)
+
+
+def run_lattice(name: str) -> str:
+    """Digest of one lattice combine, sorted by (gx, gy)."""
+    return _digest(_table(lattice_ds(name)).sort_by([("gx", "ascending"), ("gy", "ascending")]))
+
+
+def run_empty_crosstab() -> tuple:
+    """``crosstab_images`` over zero images: [rows, columns] of each
+    output block, and the row count of its pandas form."""
+    import ray
+    import ray.data as rd
+
+    def classify(arr: np.ndarray) -> tuple:  # nested: workers unpickle it by value
+        a = np.rint(arr).astype(np.int64)
+        return a % 3, a % 2
+
+    ds = crosstab_images(rd.from_arrow(make_oracle_images(np.arange(0))), classify).materialize()
+    blocks = ray.get(ds.to_arrow_refs())
+    return [[b.num_rows, b.column_names] for b in blocks], len(ds.to_pandas())
 
 
 def _digest(t: pa.Table) -> str:
@@ -183,7 +226,10 @@ rd.DataContext.get_current().enable_progress_bars = False
 import test_exchange as t
 out = {"anti_join": {c: t.run_anti_join(c) for c in t.ANTI_JOIN_CASES},
        "lattice": {c: t.run_lattice(c) for c in t.LATTICES},
-       "composite": {c: t.run_composite(c) for c in t.COMPOSITES}}
+       "composite": {c: t.run_composite(c) for c in t.COMPOSITES},
+       "plan": {"anti_join": t.executed_operators(t.anti_join_ds("split_blocks")),
+                "lattice": t.executed_operators(t.lattice_ds("merge_mean"))},
+       "empty_crosstab": t.run_empty_crosstab()}
 print(json.dumps(out))
 ray.shutdown()
 """
@@ -217,6 +263,27 @@ def test_anti_join_n_part_plan_matches_reference(ray_session, name):
 def test_anti_join_one_part_plan_matches_reference(one_cpu_results, name):
     got = [list(r) for r in one_cpu_results["anti_join"][name]]
     assert got == _reference(name)
+
+
+@pytest.mark.parametrize("step,upstream", [("anti_join", "MapBatches(sample)"),
+                                           ("lattice", "MapBatches(partial)")])
+def test_one_part_plan_is_one_unfused_gather_task(one_cpu_results, step, upstream):
+    ops = one_cpu_results["plan"][step]
+    names = [name for name, _ in ops]
+    assert not [name for name in names if name.startswith("Repartition")], names
+    assert ops[-1] == ["MapBatches(apply_block)", 1], ops
+    # the gather runs as its own operator: upstream maps still stream
+    assert upstream in names, names
+
+
+def test_exchange_over_empty_blocks_yields_no_rows_under_both_plans(ray_session, one_cpu_results):
+    # Ray calls no map UDF on an empty block, so the gather never runs
+    # ``fn`` here; it must still finish with zero rows, as the
+    # ``repartition(1)`` it replaced did (the ``no_images`` anti-join
+    # case keeps its markers, so it is not empty).
+    for blocks, n_pandas in (run_empty_crosstab(), one_cpu_results["empty_crosstab"]):
+        assert sum(rows for rows, _ in blocks) == 0 and n_pandas == 0
+        assert all(cols in ([], ["zone", "klass", "n_px"]) for _, cols in blocks), blocks
 
 
 def test_anti_join_cases_cover_hits_and_misses():
