@@ -54,7 +54,10 @@ def _grid():
 def _read(sf_dir: str, table: str, columns=None):
     import ray.data as rd
 
-    return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
+    from rasters_ray.sources.geoparquet import footer_schema
+
+    path = f"{sf_dir}/{table}.parquet"
+    return rd.read_parquet(path, columns=columns, schema=footer_schema(path, columns))
 
 
 _TS_PER_SEC = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
@@ -9236,11 +9239,11 @@ def q_pushdown_scan(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderpriority", "o_totalprice"],
-        filter=(pds.field("o_totalprice") > 450000.0),
-    )
+    from rasters_ray.sources.geoparquet import footer_schema
+
+    path, cols = f"{sf_dir}/orders.parquet", ["o_orderpriority", "o_totalprice"]
+    ds = rd.read_parquet(path, columns=cols, schema=footer_schema(path, cols),
+                         filter=(pds.field("o_totalprice") > 450000.0))
 
     def partial(t: pa.Table) -> pa.Table:
         p = np.asarray(t.column("o_orderpriority").to_pylist(), dtype=object)

@@ -26,26 +26,29 @@ class BlobReader:
     """Zero-copy accessor over an Arrow Binary column: ``reader[i]`` is a
     memoryview sliced straight out of the Arrow data buffer — no per-blob
     ``as_py()``/``to_pylist()`` copy of MB payloads into Python bytes.
-    All decoders here accept anything with the buffer protocol."""
+    A chunked (or sliced) column is read in place, chunk by chunk: no
+    ``combine_chunks`` copy of the batch.  All decoders here accept
+    anything with the buffer protocol."""
 
     def __init__(self, col):
         import pyarrow as pa
-
-        if isinstance(col, pa.ChunkedArray):
-            # one chunk is read in place; combine_chunks would copy it
-            col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-        bufs = col.buffers()
         import pyarrow.types as pt
 
+        chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+        chunks = [c for c in chunks if len(c)]
         dt = np.int64 if pt.is_large_binary(col.type) else np.int32
-        self._offs = np.frombuffer(bufs[1], dtype=dt)
-        self._data = memoryview(bufs[2]) if bufs[2] is not None else memoryview(b"")
-        self._base = col.offset
+        self._chunks = []  # per chunk: value offsets, data buffer, slice offset
+        for c in chunks:
+            _, offs, data = c.buffers()
+            self._chunks.append((np.frombuffer(offs, dtype=dt),
+                                 memoryview(data if data is not None else b""), c.offset))
+        self._starts = np.cumsum([0] + [len(c) for c in chunks[:-1]])
 
     def __getitem__(self, i: int) -> memoryview:
-        s = self._offs[self._base + i]
-        e = self._offs[self._base + i + 1]
-        return self._data[s:e]
+        c = int(np.searchsorted(self._starts, i, side="right")) - 1
+        offs, data, base = self._chunks[c]
+        j = base + i - int(self._starts[c])
+        return data[offs[j]:offs[j + 1]]
 
 
 def encode(arr: np.ndarray, fmt: str) -> bytes:

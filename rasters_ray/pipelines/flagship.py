@@ -16,6 +16,10 @@ driver then commits every pending partition with the checkpoint
 module's protocol.  A job killed mid-execution redoes all of its
 pending partitions on resume; a job killed between commits keeps the
 committed ones.
+
+Its tiling tasks take a bundle of ``tile_bundle(total)`` images — two
+tasks per cluster CPU, at most ``MAX_BUNDLE`` — and tile it
+``TILE_CHUNK`` images at a time: the task count follows the bundle.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from ray.data.block import BlockAccessor
 
 from .. import checkpoint
 from ..stages import sample_points, tile_images
-from ..util import hash_parts
+from ..stages.tiling import TILE_CHUNK
+from ..util import cluster_cpus, hash_parts
 
 
 def flagship_tiles(images_ds, level: int = 8):
@@ -47,10 +52,13 @@ def _partition_id(k: int) -> str:
 
 
 class PartitionSink(Datasink):
-    """Writes each block's rows into the tmp dir of partition
+    """Streams each block's rows into the tmp dir of partition
     ``hash_parts(image_id, n_partitions)``: one parquet file per (write
     task, partition), named by the task index, so a retried task
-    overwrites its own file instead of adding a second one.
+    overwrites its own file instead of adding a second one.  Each file
+    stays open while the task runs and takes each block's piece of its
+    partition as the block arrives: the sink keeps no block after
+    writing it.
 
     ``write`` returns ``{(partition, task_idx): (partition, rows, bytes)}``;
     ``on_write_complete`` sums them per partition into ``totals``
@@ -62,22 +70,28 @@ class PartitionSink(Datasink):
         self.totals = {}
 
     def write(self, blocks, ctx):
-        pieces = {}
-        for block in blocks:
-            t = BlockAccessor.for_block(block).to_arrow()
-            if t.num_rows == 0:
-                continue
-            parts = hash_parts(t.column("image_id"), self.n_partitions)
-            for k in np.unique(parts):
-                pieces.setdefault(int(k), []).append(t.filter(parts == k))
-        written = {}
-        for k, tables in pieces.items():
-            tmp = checkpoint.tmp_dir(self.root, _partition_id(k))
-            path = os.path.join(tmp, f"task-{ctx.task_idx:06d}.parquet")
-            table = pa.concat_tables(tables)
-            pq.write_table(table, path)
-            written[(k, ctx.task_idx)] = (k, table.num_rows, os.path.getsize(path))
-        return written
+        files = {}  # partition -> [open writer, path, rows]
+        try:
+            for block in blocks:
+                t = BlockAccessor.for_block(block).to_arrow()
+                if t.num_rows == 0:
+                    continue
+                parts = hash_parts(t.column("image_id"), self.n_partitions)
+                for k in np.unique(parts).tolist():
+                    piece = t.filter(parts == k)
+                    if k not in files:
+                        tmp = checkpoint.tmp_dir(self.root, _partition_id(k))
+                        path = os.path.join(tmp, f"task-{ctx.task_idx:06d}.parquet")
+                        files[k] = [pq.ParquetWriter(path, piece.schema), path, 0]
+                    files[k][0].write_table(piece)
+                    files[k][2] += piece.num_rows
+        finally:
+            for writer, _, _ in files.values():
+                writer.close()
+        return {
+            (k, ctx.task_idx): (k, n_rows, os.path.getsize(path))
+            for k, (_, path, n_rows) in files.items()
+        }
 
     def on_write_complete(self, write_result):
         files = {}
@@ -87,6 +101,18 @@ class PartitionSink(Datasink):
             tot = self.totals.setdefault(k, [0, 0])
             tot[0] += rows
             tot[1] += nbytes
+
+
+# The most images one tiling task takes: 8 chunks, so a bundle never
+# asks the object store for an unbounded input.
+MAX_BUNDLE = 8 * TILE_CHUNK
+
+
+def tile_bundle(total: int) -> int:
+    """Images per tiling task for a job over ``total`` images: two
+    tasks per cluster CPU, at most ``MAX_BUNDLE``.  Each task tiles its
+    bundle ``TILE_CHUNK`` images at a time."""
+    return max(1, min(MAX_BUNDLE, -(-total // (2 * cluster_cpus()))))
 
 
 def run_flagship_partitioned(
@@ -102,8 +128,9 @@ def run_flagship_partitioned(
     make_images_ds(lo, hi) -> Dataset of images for id range [lo, hi);
     it is called once, for [0, make_images_ds.total).  Rows of completed
     partitions are dropped, the rest are tiled and written in one
-    streaming execution, then each pending partition — an empty one too —
-    gets its directory and manifest row.  A crash during the execution
+    streaming execution of ``tile_bundle(total)``-image tasks, then each
+    pending partition — an empty one too — gets its directory and
+    manifest row.  A crash during the execution
     leaves only tmp dirs, so the rerun redoes every pending partition.
     """
     total = getattr(make_images_ds, "total", None)
@@ -126,7 +153,7 @@ def run_flagship_partitioned(
         images = make_images_ds(0, total).map_batches(keep_pending, batch_format="pyarrow")
         sink = PartitionSink(root, n_partitions)
         t0 = time.perf_counter()
-        tile_images(images, level=level).write_datasink(sink)
+        tile_images(images, level=level, batch_size=tile_bundle(total)).write_datasink(sink)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         for part in pending:
             n_rows, nbytes = sink.totals.get(part["inputs"][0]["part"], (0, 0))

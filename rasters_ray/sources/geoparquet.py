@@ -167,6 +167,38 @@ def decode_geoparquet_batch(t: pa.Table, geometry_col: str,
         ids, t.column(geometry_col).to_pylist(), crs=crs, extra=extra)
 
 
+def _first_file(paths) -> str:
+    """The first parquet file of ``paths`` (a file, a directory of
+    ``.parquet`` files, or a list of either)."""
+    first = paths[0] if isinstance(paths, (list, tuple)) else paths
+    if os.path.isdir(first):
+        inner = sorted(
+            os.path.join(first, f) for f in os.listdir(first)
+            if f.endswith(".parquet"))
+        if not inner:
+            raise ValueError(f"no .parquet files under {first}")
+        first = inner[0]
+    return first
+
+
+def _plain(schema: pa.Schema, columns: Optional[List[str]]) -> pa.Schema:
+    """``schema`` cut to ``columns`` (in that order), with no key-value
+    metadata."""
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return schema.remove_metadata()
+
+
+def footer_schema(paths, columns: Optional[List[str]]) -> pa.Schema:
+    """The read schema of ``paths`` for ``ray.data.read_parquet(schema=)``:
+    the first file's footer schema, cut to ``columns``, without its
+    key-value metadata.  Blocks read with it carry no metadata (such as
+    pandas' ``b"pandas"`` entry), so their schemas stay hashable: a
+    pyarrow schema with metadata raises on ``hash()``, and Ray then
+    unifies block schemas without its one-schema shortcut."""
+    return _plain(pq.read_schema(_first_file(paths)), columns)
+
+
 def geoparquet_dataset(paths, columns: Optional[List[str]] = None,
                        **read_kwargs):
     """Streaming GeoParquet ingest: a native ``ray.data.read_parquet``
@@ -177,14 +209,7 @@ def geoparquet_dataset(paths, columns: Optional[List[str]] = None,
     column and CRS, the same uniformity contract as vector_dataset."""
     import ray.data as rd
 
-    first = paths[0] if isinstance(paths, (list, tuple)) else paths
-    if os.path.isdir(first):
-        inner = sorted(
-            os.path.join(first, f) for f in os.listdir(first)
-            if f.endswith(".parquet"))
-        if not inner:
-            raise ValueError(f"no .parquet files under {first}")
-        first = inner[0]
+    first = _first_file(paths)
     schema = pq.read_schema(first)
     gcol, crs = _geo_meta(schema, first)
     want = None
@@ -197,6 +222,7 @@ def geoparquet_dataset(paths, columns: Optional[List[str]] = None,
     def decode(batch: pa.Table) -> pa.Table:
         return decode_geoparquet_batch(batch, gcol, crs)
 
+    read_kwargs.setdefault("schema", _plain(schema, want))
     return rd.read_parquet(paths, columns=want, **read_kwargs).map_batches(
         decode, batch_format="pyarrow")
 

@@ -237,7 +237,9 @@ def sample_points(
     def sample(batch: pa.Table) -> pa.Table:
         return sample_points_batch(batch, fetch(ref), level)
 
-    matched = images_ds.map_batches(sample, batch_format="pyarrow", batch_size=batch_size)
+    # zero-copy batches: the kernel only reads Arrow
+    matched = images_ds.map_batches(sample, batch_format="pyarrow", batch_size=batch_size,
+                                    zero_copy_batch=True)
     if not include_misses:
         return matched
 

@@ -9,6 +9,9 @@ sliced out, re-encoded and emitted as a tile row.
 
 The stage is a stateless ``map_batches`` flat transform (more output rows
 than input rows): pure vectorized numpy per image, Arrow in / Arrow out.
+A task's bundle of images (``tile_images``' ``batch_size``) sets the task
+count; it is tiled in zero-copy chunks of ``TILE_CHUNK`` images, which
+set the kernel's working set.
 Captions, image_id and phash ride along byte-identical (the input_hint
 invariant).
 
@@ -47,6 +50,11 @@ TILES_SCHEMA = pa.schema(
         ("grid", GRID_STRUCT),
     ]
 )
+
+
+# Images ``make_tiles`` takes at a time inside a ``tile_images`` task,
+# whatever the task's bundle.
+TILE_CHUNK = 32
 
 
 def _empty_tiles() -> pa.Table:
@@ -207,10 +215,22 @@ def make_tiles(batch: pa.Table, level: int, decode_pixels: bool = True) -> pa.Ta
     )
 
 
-def tile_images(images_ds, level: int, decode_pixels: bool = True, batch_size: int = 32):
-    """Dataset[images] -> Dataset[tiles]; stateless map_batches."""
-    return images_ds.map_batches(
-        lambda t: make_tiles(t, level=level, decode_pixels=decode_pixels),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-    )
+def tile_images(images_ds, level: int, decode_pixels: bool = True, batch_size: int = TILE_CHUNK):
+    """Dataset[images] -> Dataset[tiles]; stateless map_batches.
+
+    ``batch_size`` is the BUNDLE: the images one task takes, which sets
+    the task count.  The task hands its bundle to ``make_tiles`` in
+    zero-copy slices of ``TILE_CHUNK`` images, and yields each chunk's
+    tiles as one table.  The bundle is a view of its input blocks
+    (``zero_copy_batch``; ``make_tiles`` only reads Arrow), not a copy.
+    A task still holds its whole bundle's input blocks and, because
+    Ray's map output buffer joins the yielded tables into one block,
+    its whole bundle's tiles.  The default bundle is one chunk."""
+
+    def tile(bundle: pa.Table):
+        for start in range(0, bundle.num_rows, TILE_CHUNK):
+            yield make_tiles(bundle.slice(start, TILE_CHUNK), level=level,
+                             decode_pixels=decode_pixels)
+
+    return images_ds.map_batches(tile, batch_format="pyarrow", batch_size=batch_size,
+                                 zero_copy_batch=True)

@@ -118,6 +118,14 @@ def map_groups_typed(ds, keys, fn, out_schema):
     )
 
 
+def cluster_cpus() -> int:
+    """The cluster's CPU count (at least 1), read when a plan is built:
+    the one figure that sizes exchanges and tile bundles."""
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 # A ``map_batches`` batch size no dataset reaches: the map's bundler
 # then waits for every input block and hands one task all the rows.
 GATHER_ROWS = 1 << 62
@@ -133,9 +141,11 @@ def exchange(ds, keys, fn, out_schema):
     - ``n == 1``: one gather task — a ``map_batches`` whose batch holds
       every row (``GATHER_ROWS``) runs ``fn`` once over the whole
       dataset, with no repartition, hash tag, sort or boundary
-      sampling.  Its ``concurrency=1`` task pool keeps Ray from fusing
-      it into the upstream map, so upstream stages still stream, one
-      task per batch, instead of one task holding every input;
+      sampling; the batch is a zero-copy view of the input blocks, not
+      a copy of every row (``fn`` only reads Arrow).  Its
+      ``concurrency=1`` task pool keeps Ray from fusing it into the
+      upstream map, so upstream stages still stream, one task per
+      batch, instead of one task holding every input;
     - ``n > 1``: each row is tagged with ``hash_parts_cols(keys, n)``
       and sorted on the tag with the known boundaries ``1 .. n-1``, so
       Ray skips its sampling pass and returns exactly ``n`` blocks.
@@ -148,13 +158,13 @@ def exchange(ds, keys, fn, out_schema):
     ``fn`` must return a table of ``out_schema``."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
 
     keys_l = [keys] if isinstance(keys, str) else list(keys)
-    n = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    n = cluster_cpus()
     apply = _typed_blocks(lambda part: [fn(part)], out_schema)
     if n == 1:
-        return ds.map_batches(apply, batch_size=GATHER_ROWS, concurrency=1, batch_format="pyarrow")
+        return ds.map_batches(apply, batch_size=GATHER_ROWS, concurrency=1, zero_copy_batch=True,
+                              batch_format="pyarrow")
 
     def tag(t: pa.Table) -> pa.Table:
         pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)

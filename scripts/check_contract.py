@@ -5,6 +5,11 @@ integer/float kind, and sorted values.  A column whose kind matches but
 whose width differs (int32 vs int64) is printed as a warning.
 
 Usage: python scripts/check_contract.py [sf_dir] [query ...]
+
+When no Ray session is running, the script starts one with
+``RAY_GRAFT_CPUS`` CPUs (default 8).  ``util.exchange`` plans one
+gather task at 1 CPU and a hash exchange above, so
+``RAY_GRAFT_CPUS=1`` checks the 1-part plan.
 """
 
 from __future__ import annotations
@@ -93,7 +98,8 @@ def main():
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
+        ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "8")),
+                 include_dashboard=False, logging_level="ERROR")
     import ray.data
 
     ray.data.DataContext.get_current().enable_progress_bars = False

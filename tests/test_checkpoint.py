@@ -266,6 +266,38 @@ def test_partition_sink_retried_task_does_not_duplicate(tmp_path):
         assert r["row_count"] == on_disk[r["partition_id"]].num_rows
 
 
+def test_partition_sink_streams_a_task_into_one_file_per_partition(tmp_path):
+    """A write task that takes several blocks writes one file per
+    partition, holding that partition's rows of every block."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.interfaces import TaskContext
+
+    from rasters_ray.pipelines.flagship import PartitionSink
+    from rasters_ray.sources import make_oracle_images
+    from rasters_ray.stages import make_tiles
+    from rasters_ray.util import hash_parts
+
+    tiles = make_tiles(make_oracle_images(np.arange(8)), level=9)
+    root = str(tmp_path / "tiles")
+    checkpoint.pending_partitions(root, [{"partition_id": f"part-{k:05d}"} for k in range(4)])
+    blocks = [tiles.slice(s, 7) for s in range(0, tiles.num_rows, 7)]
+    blocks.insert(1, tiles.slice(0, 0))
+    assert len(blocks) > 4
+    written = PartitionSink(root, 4).write(blocks, TaskContext(task_idx=5, op_name="Write"))
+    parts = hash_parts(tiles.column("image_id"), 4)
+    assert sorted(written) == [(k, 5) for k in sorted(set(parts.tolist()))]
+    for (k, _), (_, n_rows, nbytes) in written.items():
+        tmp = checkpoint.tmp_dir(root, f"part-{k:05d}")
+        assert os.listdir(tmp) == ["task-000005.parquet"]
+        path = os.path.join(tmp, "task-000005.parquet")
+        assert nbytes == os.path.getsize(path)
+        want = tiles.filter(pa.array(parts == k))
+        assert n_rows == want.num_rows
+        assert pq.read_table(path).sort_by("tile_id").equals(want.sort_by("tile_id"))
+
+
 def test_zone_map_pruning(ray_session, tmp_path):
     """Partition stats in the manifest skip non-overlapping partitions at
     read time; the pruned read equals the filtered full scan."""

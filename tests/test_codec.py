@@ -7,6 +7,27 @@ from rasters_ray import codec
 from rasters_ray.sources import average_hash, make_fixture_images, make_oracle_images
 
 
+@pytest.mark.parametrize("typ", ["binary", "large_binary"])
+def test_blob_reader_reads_chunked_and_sliced_columns_in_place(typ):
+    import pyarrow as pa
+
+    typ = getattr(pa, typ)()
+    vals = [b"a", b"bcd", b"", b"efgh" * 50, b"ij", b"k"]
+    chunked = pa.chunked_array(
+        [pa.array(vals[:2], typ), pa.array([], typ), pa.array(vals[2:5], typ),
+         pa.array([], typ), pa.array(vals[5:], typ)])
+    cols = [pa.array(vals, typ), pa.array(vals, typ).slice(2, 3), chunked,
+            chunked.slice(1), chunked.slice(1, 3), chunked.slice(4), chunked.slice(6),
+            pa.chunked_array([pa.array(vals, typ).slice(1, 4), pa.array(vals, typ).slice(3)])]
+    for col in cols:
+        reader = codec.BlobReader(col)
+        assert [bytes(reader[i]) for i in range(len(col))] == col.to_pylist()
+    # a view of the Arrow buffer, not a copy
+    buf = chunked.chunk(2).buffers()[2]
+    view = codec.BlobReader(chunked)[3]
+    assert np.shares_memory(np.frombuffer(view, np.uint8), np.frombuffer(buf, np.uint8))
+
+
 def test_npy_round_trip_uint8():
     a = np.random.default_rng(0).integers(0, 256, (37, 53), dtype=np.uint8)
     assert np.array_equal(codec.decode(codec.encode(a, "npy"), "npy"), a)

@@ -6,7 +6,9 @@ task: a ``concurrency=1`` map whose batch holds every row, no tag, no
 sort, no repartition) runs in a ``num_cpus=1`` session in a subprocess,
 which computes every case once and records the operators two of them
 executed (``one_cpu_results``).  Both plans must equal the same
-single-process reference."""
+single-process reference.  The checkpointed tiling job runs no exchange
+but sizes its tile bundles by the same CPU count, so it runs in both
+sessions too."""
 
 import hashlib
 import json
@@ -39,6 +41,8 @@ LEVEL = 8
 ANTI_JOIN_CASES = ["none_matched", "all_matched", "no_images", "split_blocks"]
 LATTICES = ["merge_mean", "mosaic_first", "mosaic_best"]
 COMPOSITES = ["merge_mean", "merge_mean_banded", "mosaic_first"]
+FLAGSHIP_IMAGES = 160
+FLAGSHIP_PARTS = 4
 
 
 def _points(ids, xy) -> pa.Table:
@@ -103,9 +107,9 @@ def _table(ds) -> pa.Table:
     return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs()))
 
 
-def executed_operators(ds) -> list:
-    """[operator name, tasks] of each operator ``ds`` executes, upstream
-    first, from its stats after one execution."""
+def _operators(summary) -> list:
+    """[operator name, tasks] of each operator in a stats summary,
+    upstream first."""
     out = []
 
     def walk(summary):
@@ -114,8 +118,14 @@ def executed_operators(ds) -> list:
         for op in summary.operators_stats:
             out.append([op.operator_name, int((op.task_rows or {}).get("count", 0))])
 
-    walk(ds.materialize()._get_stats_summary())
+    walk(summary)
     return out
+
+
+def executed_operators(ds) -> list:
+    """[operator name, tasks] of each operator ``ds`` executes, upstream
+    first, from its stats after one execution."""
+    return _operators(ds.materialize()._get_stats_summary())
 
 
 def anti_join_ds(name: str):
@@ -217,8 +227,65 @@ def composite_reference(name: str) -> str:
          for a, b in zip(cuts[:-1], cuts[1:])]))
 
 
+def flagship_feed():
+    """``make_images_ds`` over FLAGSHIP_IMAGES oracle images in blocks
+    of 4, so a tiling task's bundle spans several whole blocks at 1 and
+    at 4 CPUs."""
+    import ray.data as rd
+
+    imgs = make_oracle_images(np.arange(FLAGSHIP_IMAGES))
+
+    def make_images_ds(lo, hi):
+        return rd.from_arrow([imgs.slice(i, 4) for i in range(lo, hi, 4)])
+
+    make_images_ds.total = FLAGSHIP_IMAGES
+    return make_images_ds
+
+
+def run_flagship(root: str) -> dict:
+    """One checkpointed tiling job: the digest of its tiles (sorted by
+    tile_id), its manifest row counts, its tile bundle, the operators
+    of its tile/write execution and each partition's files."""
+    import pyarrow.parquet as pq
+
+    from rasters_ray.pipelines import flagship
+
+    captured = []
+    original = flagship.tile_images
+
+    def capture(ds, **kw):
+        captured.append(original(ds, **kw))
+        return captured[-1]
+
+    flagship.tile_images = capture
+    try:
+        rows = flagship.run_flagship_partitioned(flagship_feed(), root, FLAGSHIP_PARTS, level=9)
+    finally:
+        flagship.tile_images = original
+    files = {r["partition_id"]: sorted(os.listdir(os.path.join(root, r["partition_id"])))
+             for r in rows}
+    tiles = pa.concat_tables([pq.read_table(os.path.join(root, pid, f))
+                              for pid, names in files.items() for f in names])
+    return {"digest": _digest(tiles.sort_by("tile_id")),
+            "rows": [r["row_count"] for r in rows],
+            "bundle": flagship.tile_bundle(FLAGSHIP_IMAGES),
+            "ops": _operators(captured[0]._write_ds._get_stats_summary()),
+            "files": files}
+
+
+def flagship_reference() -> dict:
+    """One-process ``make_tiles`` over the same images: the tile digest
+    and the rows of each ``hash_parts(image_id)`` partition."""
+    from rasters_ray.util import hash_parts
+
+    tiles = make_tiles(make_oracle_images(np.arange(FLAGSHIP_IMAGES)), 9)
+    parts = hash_parts(tiles.column("image_id"), FLAGSHIP_PARTS)
+    return {"digest": _digest(tiles.sort_by("tile_id")),
+            "rows": np.bincount(parts, minlength=FLAGSHIP_PARTS).tolist()}
+
+
 _ONE_CPU = """
-import json, sys
+import json, sys, tempfile
 import ray, ray.data as rd
 sys.path.insert(0, "tests")
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
@@ -230,6 +297,8 @@ out = {"anti_join": {c: t.run_anti_join(c) for c in t.ANTI_JOIN_CASES},
        "plan": {"anti_join": t.executed_operators(t.anti_join_ds("split_blocks")),
                 "lattice": t.executed_operators(t.lattice_ds("merge_mean"))},
        "empty_crosstab": t.run_empty_crosstab()}
+with tempfile.TemporaryDirectory() as root:
+    out["flagship"] = t.run_flagship(root)
 print(json.dumps(out))
 ray.shutdown()
 """
@@ -331,3 +400,31 @@ def test_n_part_exchange_with_more_parts_than_rows_yields_typed_blocks(ray_sessi
     assert sum(b.num_rows for b in blocks) == 2
     # the pad rows that keep every partition non-empty never reach ``fn``
     assert all(set(b.column("n").to_pylist()) <= {b.num_rows} for b in blocks)
+
+
+@pytest.fixture(scope="module")
+def four_cpu_flagship(ray_session, tmp_path_factory):
+    return run_flagship(str(tmp_path_factory.mktemp("flagship")))
+
+
+def test_flagship_job_equals_one_process_reference_under_both_plans(
+        four_cpu_flagship, one_cpu_results):
+    want = flagship_reference()
+    for got in (four_cpu_flagship, one_cpu_results["flagship"]):
+        assert got["rows"] == want["rows"]
+        assert got["digest"] == want["digest"]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_flagship_runs_two_tile_tasks_per_cpu(four_cpu_flagship, one_cpu_results, cpus):
+    """A job over N images runs ceil(N / bundle) tile/write tasks, two
+    per CPU here, and each task writes at most one file per partition
+    although its bundle spans several input blocks."""
+    got = one_cpu_results["flagship"] if cpus == 1 else four_cpu_flagship
+    assert got["bundle"] == -(-FLAGSHIP_IMAGES // (2 * cpus))
+    n_tasks = -(-FLAGSHIP_IMAGES // got["bundle"])
+    assert n_tasks == 2 * cpus
+    name, tasks = got["ops"][-1]
+    assert name.endswith("MapBatches(tile)->Write") and tasks == n_tasks, got["ops"]
+    for names in got["files"].values():
+        assert len(names) <= n_tasks, names
