@@ -51,13 +51,10 @@ def _grid():
     return GridSpec("EPSG:4326", QX0, QY0, QCELL, -QCELL, QN, QN)
 
 
-def _read(sf_dir: str, table: str, columns=None):
-    import ray.data as rd
+def _read(sf_dir: str, table: str, columns=None, **read_kwargs):
+    from rasters_ray.sources.geoparquet import read_parquet
 
-    from rasters_ray.sources.geoparquet import footer_schema
-
-    path = f"{sf_dir}/{table}.parquet"
-    return rd.read_parquet(path, columns=columns, schema=footer_schema(path, columns))
+    return read_parquet(f"{sf_dir}/{table}.parquet", columns=columns, **read_kwargs)
 
 
 _TS_PER_SEC = {"s": 1, "ms": 1_000, "us": 1_000_000, "ns": 1_000_000_000}
@@ -94,12 +91,10 @@ def _images_ds(sf_dir: str, n: int):
     runs inside the read, so no read block comes out empty (an empty
     block through a chain of map_batches leaves a zero-column block)."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from rasters_ray.sources.images import make_oracle_images
 
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"],
-                           filter=pc.field("doc_id") < n)
+    docs = _read(sf_dir, "documents", ["doc_id"], filter=pc.field("doc_id") < n)
     return docs.map_batches(
         lambda t: make_oracle_images(t.column("doc_id").to_numpy()),
         batch_format="pyarrow",
@@ -9235,15 +9230,11 @@ def q_pushdown_scan(sf_dir: str):
     stats can skip whole groups before decode) — rows never enter the
     pipeline; downstream is a two-column combiner reduce."""
     import pyarrow.dataset as pds
-    import ray.data as rd
 
     from ray.data.aggregate import Sum
 
-    from rasters_ray.sources.geoparquet import footer_schema
-
-    path, cols = f"{sf_dir}/orders.parquet", ["o_orderpriority", "o_totalprice"]
-    ds = rd.read_parquet(path, columns=cols, schema=footer_schema(path, cols),
-                         filter=(pds.field("o_totalprice") > 450000.0))
+    ds = _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"],
+               filter=(pds.field("o_totalprice") > 450000.0))
 
     def partial(t: pa.Table) -> pa.Table:
         p = np.asarray(t.column("o_orderpriority").to_pylist(), dtype=object)

@@ -192,11 +192,8 @@ def run_bench() -> dict:
 
     # q4: minhash near-dup over documents
     def stage_minhash():
-        from rasters_ray.sources.geoparquet import footer_schema
-
-        d_path, d_cols = f"{SF_DIR}/documents.parquet", ["doc_id", "text"]
         dups = minhash_near_dups(
-            rd.read_parquet(d_path, columns=d_cols, schema=footer_schema(d_path, d_cols)),
+            rd.read_parquet(f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]),
             threshold=0.8,
         )
         stats["n_near_dup_pairs"] = dups.count()
@@ -245,13 +242,14 @@ def run_bench() -> dict:
             hash_join,
             int_sum_partial,
         )
-        from rasters_ray.sources.geoparquet import footer_schema
 
         cust = pq.read_table(
             f"{SF_DIR}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
         )
-        o_path, o_cols = f"{SF_DIR}/orders.parquet", ["o_orderkey", "o_custkey", "o_orderpriority"]
-        orders = rd.read_parquet(o_path, columns=o_cols, schema=footer_schema(o_path, o_cols))
+        orders = rd.read_parquet(
+            f"{SF_DIR}/orders.parquet",
+            columns=["o_orderkey", "o_custkey", "o_orderpriority"],
+        )
         seg = broadcast_join(
             orders, cust, on="o_custkey", right_on="c_custkey"
         ).map_batches(
@@ -259,8 +257,10 @@ def run_bench() -> dict:
             lambda t: t.select(["o_orderkey", "o_orderpriority", "c_mktsegment"]),
             batch_format="pyarrow",
         )
-        l_path, l_cols = f"{SF_DIR}/lineitem.parquet", ["l_orderkey", "l_extendedprice", "l_discount"]
-        li = rd.read_parquet(l_path, columns=l_cols, schema=footer_schema(l_path, l_cols)).map_batches(
+        li = rd.read_parquet(
+            f"{SF_DIR}/lineitem.parquet",
+            columns=["l_orderkey", "l_extendedprice", "l_discount"],
+        ).map_batches(
             # fold revenue to ONE int64 per row BEFORE the all-to-all:
             # the shuffle moves 8 value bytes/row instead of 16
             lambda t: pa.table(

@@ -189,14 +189,20 @@ def _plain(schema: pa.Schema, columns: Optional[List[str]]) -> pa.Schema:
     return schema.remove_metadata()
 
 
-def footer_schema(paths, columns: Optional[List[str]]) -> pa.Schema:
-    """The read schema of ``paths`` for ``ray.data.read_parquet(schema=)``:
-    the first file's footer schema, cut to ``columns``, without its
-    key-value metadata.  Blocks read with it carry no metadata (such as
-    pandas' ``b"pandas"`` entry), so their schemas stay hashable: a
-    pyarrow schema with metadata raises on ``hash()``, and Ray then
-    unifies block schemas without its one-schema shortcut."""
-    return _plain(pq.read_schema(_first_file(paths)), columns)
+def read_parquet(paths, columns: Optional[List[str]] = None, **read_kwargs):
+    """``ray.data.read_parquet`` whose blocks carry no schema metadata.
+
+    Unless ``read_kwargs`` has a ``schema``, the read takes the first
+    file's footer schema, cut to ``columns``, without its key-value
+    metadata (such as pandas' ``b"pandas"`` entry).  A pyarrow schema
+    with metadata raises on ``hash()``, and Ray then unifies block
+    schemas without its one-schema shortcut.  ``geoparquet_dataset`` and
+    the driver contract's table reads go through here."""
+    import ray.data as rd
+
+    if "schema" not in read_kwargs:
+        read_kwargs["schema"] = _plain(pq.read_schema(_first_file(paths)), columns)
+    return rd.read_parquet(paths, columns=columns, **read_kwargs)
 
 
 def geoparquet_dataset(paths, columns: Optional[List[str]] = None,
@@ -207,8 +213,6 @@ def geoparquet_dataset(paths, columns: Optional[List[str]] = None,
     metadata is taken from the first file's FOOTER on the driver (a
     kilobyte read); all files in one call must share the geometry
     column and CRS, the same uniformity contract as vector_dataset."""
-    import ray.data as rd
-
     first = _first_file(paths)
     schema = pq.read_schema(first)
     gcol, crs = _geo_meta(schema, first)
@@ -223,7 +227,7 @@ def geoparquet_dataset(paths, columns: Optional[List[str]] = None,
         return decode_geoparquet_batch(batch, gcol, crs)
 
     read_kwargs.setdefault("schema", _plain(schema, want))
-    return rd.read_parquet(paths, columns=want, **read_kwargs).map_batches(
+    return read_parquet(paths, columns=want, **read_kwargs).map_batches(
         decode, batch_format="pyarrow")
 
 

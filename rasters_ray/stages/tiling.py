@@ -225,7 +225,8 @@ def tile_images(images_ds, level: int, decode_pixels: bool = True, batch_size: i
     (``zero_copy_batch``; ``make_tiles`` only reads Arrow), not a copy.
     A task still holds its whole bundle's input blocks and, because
     Ray's map output buffer joins the yielded tables into one block,
-    its whole bundle's tiles.  The default bundle is one chunk."""
+    its whole bundle's tiles; the chunks bound only ``make_tiles``'
+    decode working set.  The default bundle is one chunk."""
 
     def tile(bundle: pa.Table):
         for start in range(0, bundle.num_rows, TILE_CHUNK):

@@ -266,7 +266,7 @@ def test_partition_sink_retried_task_does_not_duplicate(tmp_path):
         assert r["row_count"] == on_disk[r["partition_id"]].num_rows
 
 
-def test_partition_sink_streams_a_task_into_one_file_per_partition(tmp_path):
+def test_partition_sink_writes_a_multi_block_task_into_one_file_per_partition(tmp_path):
     """A write task that takes several blocks writes one file per
     partition, holding that partition's rows of every block."""
     import numpy as np
@@ -296,6 +296,20 @@ def test_partition_sink_streams_a_task_into_one_file_per_partition(tmp_path):
         want = tiles.filter(pa.array(parts == k))
         assert n_rows == want.num_rows
         assert pq.read_table(path).sort_by("tile_id").equals(want.sort_by("tile_id"))
+
+
+@pytest.mark.parametrize("cpus,total,bundle", [
+    (1, 200, 100),    # two tasks per CPU
+    (1, 10, 32),      # never below one chunk
+    (4, 160, 32),     # so never more tasks than chunks
+    (32, 8000, 125),
+    (1, 8000, 128),   # never above MAX_BUNDLE
+])
+def test_tile_bundle_stays_between_one_chunk_and_the_cap(monkeypatch, cpus, total, bundle):
+    from rasters_ray.pipelines import flagship
+
+    monkeypatch.setattr(flagship, "cluster_cpus", lambda: cpus)
+    assert flagship.tile_bundle(total) == bundle
 
 
 def test_zone_map_pruning(ray_session, tmp_path):

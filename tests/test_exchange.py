@@ -416,15 +416,18 @@ def test_flagship_job_equals_one_process_reference_under_both_plans(
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
-def test_flagship_runs_two_tile_tasks_per_cpu(four_cpu_flagship, one_cpu_results, cpus):
-    """A job over N images runs ceil(N / bundle) tile/write tasks, two
-    per CPU here, and each task writes at most one file per partition
-    although its bundle spans several input blocks."""
+def test_flagship_runs_at_most_one_tile_task_per_chunk(four_cpu_flagship, one_cpu_results, cpus):
+    """A job over N images runs ceil(N / bundle) tile/write tasks: two
+    per CPU at 1 CPU, one per TILE_CHUNK images at 4 CPUs (a bundle is
+    never smaller than a chunk), and each task writes at most one file
+    per partition although its bundle spans several input blocks."""
+    from rasters_ray.stages.tiling import TILE_CHUNK
+
     got = one_cpu_results["flagship"] if cpus == 1 else four_cpu_flagship
-    assert got["bundle"] == -(-FLAGSHIP_IMAGES // (2 * cpus))
+    assert got["bundle"] == max(TILE_CHUNK, -(-FLAGSHIP_IMAGES // (2 * cpus)))
     n_tasks = -(-FLAGSHIP_IMAGES // got["bundle"])
-    assert n_tasks == 2 * cpus
+    assert n_tasks == {1: 2, 4: -(-FLAGSHIP_IMAGES // TILE_CHUNK)}[cpus]
     name, tasks = got["ops"][-1]
-    assert name.endswith("MapBatches(tile)->Write") and tasks == n_tasks, got["ops"]
+    assert name.endswith("->Write") and tasks == n_tasks, got["ops"]
     for names in got["files"].values():
         assert len(names) <= n_tasks, names
