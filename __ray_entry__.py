@@ -2892,7 +2892,7 @@ def q_region_revenue(sf_dir: str):
 def q_events_asof(sf_dir: str):
     """Distributed as-of join (DuckDB ASOF LEFT JOIN semantics): every
     non-purchase event picks up the value of the user's latest purchase
-    at or before it — one union+groupby shuffle, composite-rank
+    at or before it — one exchange of the union, composite-rank
     searchsorted kernel (rasters_ray/relational/joins.py)."""
     import pyarrow.compute as pc
 
@@ -3779,8 +3779,8 @@ def q_label_components(sf_dir: str):
 
 
 def q_components(sf_dir: str):
-    """Distributed connected components (CCF rounds: one hash-partitioned
-    groupby per round, vectorized per-partition min-pointing) over a
+    """Distributed connected components (CCF rounds: one exchange on the
+    node per round, vectorized per-partition min-pointing) over a
     SQL-recomputable sparse graph derived from order keys, plus
     component sizes — the cluster-canonicalization step near-dup pairs
     feed at curation time.  The oracle recomputes components with a
@@ -4106,7 +4106,7 @@ def q_events_pivot(sf_dir: str):
 
 def q_orders_anti(sf_dir: str):
     """Orders with no lineitems — the distributed hash join running in
-    Acero's "left anti" mode (same one-shuffle union+groupby machinery;
+    Acero's "left anti" mode (same one-exchange union machinery;
     semi/anti are mode flags, not separate operators)."""
     from rasters_ray.relational import hash_join
 
@@ -4460,9 +4460,7 @@ def q_curation(sf_dir: str):
     import pyarrow.compute as pc
 
     from rasters_ray.text import content_key_md5, hash_bucket, quality_score
-    from rasters_ray.util import hash_parts
-
-    N_PARTS = 32
+    from rasters_ray.util import exchange
 
     def prep(t: pa.Table) -> pa.Table:
         s = pc.utf8_lower(t.column("text"))
@@ -4479,7 +4477,7 @@ def q_curation(sf_dir: str):
         split = np.where(
             buckets < 80, "train", np.where(buckets < 90, "val", "test")
         )
-        out = pa.table(
+        return pa.table(
             {
                 "doc_id": t.column("doc_id"),
                 "norm_key": keys,
@@ -4488,9 +4486,6 @@ def q_curation(sf_dir: str):
                 "split": pa.array(split.astype(object), pa.string()),
             }
         )
-        return out.append_column(
-            "_part", pa.array(hash_parts(out.column("norm_key"), N_PARTS), pa.int64())
-        )
 
     def dedup_part(group: pa.Table) -> pa.Table:
         # every copy of a key is in this partition: keep min doc_id per key
@@ -4498,7 +4493,7 @@ def q_curation(sf_dir: str):
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, keys))
         ks = keys[order]
-        first = order[np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])]
+        first = order[np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]][: len(ks)])]
         kept = group.take(pa.array(np.sort(first), pa.int64()))
         # quality gate + per-split partial (combiner before the reduce)
         qv = kept.column("quality").to_numpy(zero_copy_only=False)
@@ -4517,31 +4512,18 @@ def q_curation(sf_dir: str):
             }
         )
 
-    def final(group: pa.Table) -> pa.Table:
+    def final(part: pa.Table) -> pa.Table:
+        sums = part.group_by("split").aggregate([("n_docs", "sum"), ("sum_len", "sum")])
         return pa.table(
             {
-                "split": group.column("split").slice(0, 1),
-                "n_docs": pa.array(
-                    [int(group.column("n_docs").to_numpy().sum())], pa.int64()
-                ),
-                "sum_len": pa.array(
-                    [int(group.column("sum_len").to_numpy().sum())], pa.int64()
-                ),
+                "split": sums.column("split"),
+                "n_docs": sums.column("n_docs_sum").cast(pa.int64()),
+                "sum_len": sums.column("sum_len_sum").cast(pa.int64()),
             }
         )
 
-    from rasters_ray.util import map_groups_typed
-
-    stats_schema = pa.schema(
-        [("split", pa.string()), ("n_docs", pa.int64()), ("sum_len", pa.int64())]
-    )
-    partials = map_groups_typed(
-        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-            prep, batch_format="pyarrow"
-        ),
-        "_part", dedup_part, stats_schema,
-    )
-    return map_groups_typed(partials, "split", final, stats_schema)
+    docs = _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(prep, batch_format="pyarrow")
+    return exchange(exchange(docs, "norm_key", dedup_part), "split", final)
 
 
 def q_distinct_users(sf_dir: str):
@@ -5041,7 +5023,7 @@ def q_dup_spans(sf_dir: str):
         .groupby("_part")
         .map_groups(dup_only, batch_format="pyarrow")
     )
-    hits = hash_join(pos, dup, on="gram", how="left semi", n_parts=32)
+    hits = hash_join(pos, dup, on="gram", how="left semi")
 
     def per_doc(t: pa.Table) -> pa.Table:
         d = t.column("doc_id").to_numpy(zero_copy_only=False)
@@ -5077,7 +5059,7 @@ def q_dup_spans(sf_dir: str):
         gram_totals, batch_format="pyarrow"
     )
     # doc-cardinality tables stay distributed: left-outer join, fill 0
-    joined = hash_join(base, dup_counts, on="doc_id", how="left outer", n_parts=32)
+    joined = hash_join(base, dup_counts, on="doc_id", how="left outer")
 
     def fill0(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -5426,7 +5408,6 @@ def q_priority_semi(sf_dir: str):
         on="o_orderkey",
         right_on="l_orderkey",
         how="left semi",
-        n_parts=32,
     )
 
     def partial(t: pa.Table) -> pa.Table:
@@ -5492,7 +5473,8 @@ def q_data_mix(sf_dir: str):
 def q_bpe_merges(sf_dir: str):
     """Distributed BPE merge training (text/bpe.py) — 8 rounds of
     most-frequent-pair over the documents corpus, each round one
-    vocabulary-weighted streaming pass + an n_parts-row driver pick.
+    vocabulary-weighted streaming pass + a driver pick over one row per
+    exchange partition.
     Value-exact golden oracle as of round 4 (_bpe_golden_path: integer
     counts + deterministic tie-break make the merge sequence exactly
     reproducible by the sequential reference trainer); also asserted

@@ -174,21 +174,6 @@ def run_partitioned(
     return [rows[p["partition_id"]] for p in partitions]
 
 
-def run_partitioned_with_stats(
-    root: str,
-    partitions: Sequence[dict],
-    run_one: Callable[[dict, str], tuple],
-    resume: bool = True,
-) -> List[dict]:
-    """`run_partitioned` with ``run_one(part, out_dir)`` returning
-    ``(row_count, stats)``; the per-column stats dict
-    (``{col: [min, max]}``) is persisted atomically WITH the manifest row
-    — the zone map that :func:`read_pruned` uses to skip partitions at
-    read time. (Thin alias: ``run_partitioned`` itself accepts the tuple
-    return; kept for callers that want the explicit contract.)"""
-    return run_partitioned(root, partitions, run_one, resume=resume)
-
-
 def prune_partitions(root: str, col: str, lo, hi) -> List[str]:
     """Partition ids whose manifest zone map ``stats[col] = [min, max]``
     OVERLAPS [lo, hi] — partitions without stats are conservatively

@@ -1,9 +1,7 @@
-from .flagship import flagship_join, flagship_tiles, run_flagship_partitioned
+from .flagship import run_flagship_partitioned
 from .pipe import pipe, pixel_udf
 
 __all__ = [
-    "flagship_join",
-    "flagship_tiles",
     "run_flagship_partitioned",
     "pipe",
     "pixel_udf",

@@ -35,17 +35,9 @@ from ray.data import Datasink
 from ray.data.block import BlockAccessor
 
 from .. import checkpoint
-from ..stages import sample_points, tile_images
+from ..stages import tile_images
 from ..stages.tiling import TILE_CHUNK
 from ..util import cluster_cpus, hash_parts
-
-
-def flagship_tiles(images_ds, level: int = 8):
-    return tile_images(images_ds, level=level)
-
-
-def flagship_join(images_ds, points: pa.Table, level: int = 8, **kw):
-    return sample_points(images_ds, points, level=level, **kw)
 
 
 def _partition_id(k: int) -> str:

@@ -2,10 +2,11 @@
 
 The reference is a single-process raster library; these are the tabular
 operators a data-processing engine needs around it (the driver's tables are
-TPC-H-ish).  Everything here follows the repo-wide scale pattern: hash
-partition the key, ONE union + groupby all-to-all, and a fully vectorized
-(pyarrow.compute / numpy / Acero) kernel inside each partition — never a
-per-row or per-group Python walk at data-scaled cardinality.
+TPC-H-ish).  Everything here follows the repo-wide scale pattern: ONE
+``util.exchange`` on the key (the engine's one hash shuffle) and a fully
+vectorized (pyarrow.compute / numpy / Acero) kernel inside each
+partition — never a per-row or per-group Python walk at data-scaled
+cardinality.
 """
 
 from .bloom import BloomFilter, bloom_filter_ds, bloom_semi_join, build_bloom

@@ -25,7 +25,7 @@ from collections.abc import Callable
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import hash_parts
+from rasters_ray.util import exchange
 
 
 def _group_codes(t: pa.Table, keys: list[str]):
@@ -130,15 +130,14 @@ def topk_per_group(
     carry_cols: list[str] | None = None,
     descending: bool = True,
     tie_col: str | None = None,
-    n_parts: int = 64,
 ):
     """Top-k rows per group -> Dataset[group, carry..., value, rank].
 
     Rank is 1-based within the group, ordered by ``value_col``
     (descending by default) with ``tie_col`` as a deterministic
     tie-break.  Per-batch partial top-k bounds shuffle volume at
-    k x groups-per-block; the hash-partitioned final repeats the same
-    lexsort+rank kernel and emits ranks."""
+    k x groups-per-block; one exchange on the group column runs the same
+    lexsort+rank kernel per partition and emits ranks."""
     carry_cols = carry_cols or []
     cols = [group_col, value_col] + [c for c in carry_cols if c != value_col]
     if tie_col and tie_col not in cols:
@@ -172,18 +171,8 @@ def topk_per_group(
             out = out.append_column("rank", pa.array(rank[keep] + 1, pa.int64()))
         return out
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_part", pa.array(hash_parts(t.column(group_col), n_parts), pa.int64())
-        )
-
     partial = ds.map_batches(lambda t: cut(t, False), batch_format="pyarrow")
-    return (
-        partial.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(lambda g: cut(g.drop_columns(["_part"]), True),
-                    batch_format="pyarrow")
-    )
+    return exchange(partial, group_col, lambda part: cut(part, True))
 
 
 def grouped_quantiles(
@@ -191,7 +180,6 @@ def grouped_quantiles(
     group_col: str,
     value_col: str,
     qs: list[float],
-    n_parts: int = 32,
 ):
     """Exact ``percentile_disc`` per group -> Dataset[group, q, value,
     sel_rank, n] (1-based rank ``ceil(q * n_group)``).
@@ -204,17 +192,9 @@ def grouped_quantiles(
     :func:`exact_quantiles`' collect limit.  For a handful of global
     quantiles over an unbounded column use :func:`exact_quantiles`
     (histogram narrowing, no partition-sized groups needed)."""
-    from rasters_ray.util import hash_parts
-
     qarr = np.asarray(sorted(qs), dtype=np.float64)
     if len(qarr) == 0 or qarr[0] <= 0.0 or qarr[-1] > 1.0:
         raise ValueError("quantiles must lie in (0, 1]")
-
-    def tag(t: pa.Table) -> pa.Table:
-        sel = t.select([group_col, value_col])
-        return sel.append_column(
-            "_part", pa.array(hash_parts(sel.column(group_col), n_parts), pa.int64())
-        )
 
     def kernel(part: pa.Table) -> pa.Table:
         g = np.asarray(part.column(group_col).to_pylist(), dtype=object)
@@ -222,7 +202,7 @@ def grouped_quantiles(
         ug, ginv = np.unique(g, return_inverse=True)
         order = np.lexsort((v, ginv))
         gs = ginv[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(gs) > 0])
+        starts = _run_starts(gs)
         ns = np.diff(np.r_[starts, len(gs)])
         # ranks: ceil(q * n) per (group, q) — vectorized gather
         ranks = np.ceil(qarr[None, :] * ns[:, None]).astype(np.int64)  # (G, Q)
@@ -239,14 +219,27 @@ def grouped_quantiles(
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
+    sel = ds.map_batches(lambda t: t.select([group_col, value_col]), batch_format="pyarrow")
+    return exchange(sel, group_col, kernel)
 
 
-def grouped_mad(ds, group_col: str, values_fn, n_parts: int = 32):
+def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in ``sorted_codes``; none
+    for an empty array (an exchange calls its kernel on empty parts)."""
+    return np.flatnonzero(np.r_[True, np.diff(sorted_codes) > 0][: len(sorted_codes)])
+
+
+def _int_values(group_col: str, values_fn):
+    """Map UDF: the group column and the int64 ``values_fn`` column ``_v``."""
+
+    def rows(t: pa.Table) -> pa.Table:
+        v = np.asarray(values_fn(t), np.int64)
+        return pa.table({group_col: t.column(group_col), "_v": pa.array(v, pa.int64())})
+
+    return rows
+
+
+def grouped_mad(ds, group_col: str, values_fn):
     """Median absolute deviation per group -> Dataset[group, n, med,
     mad] over integer values (callers scale money to cents first).
 
@@ -257,25 +250,13 @@ def grouped_mad(ds, group_col: str, values_fn, n_parts: int = 32):
     vectorized kernel resolves a partition's groups; each single
     group's values must fit the partition (documented scale bound)."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        v = values_fn(t)
-        sel = pa.table(
-            {
-                group_col: t.column(group_col),
-                "_v": pa.array(np.asarray(v, np.int64), pa.int64()),
-            }
-        )
-        return sel.append_column(
-            "_part", pa.array(hash_parts(sel.column(group_col), n_parts), pa.int64())
-        )
-
     def kernel(part: pa.Table) -> pa.Table:
         g = np.asarray(part.column(group_col).to_pylist(), dtype=object)
         v = part.column("_v").to_numpy(zero_copy_only=False).astype(np.int64)
         ug, ginv = np.unique(g, return_inverse=True)
         order = np.lexsort((v, ginv))
         gs, vs = ginv[order], v[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(gs) > 0])
+        starts = _run_starts(gs)
         ns = np.diff(np.r_[starts, len(gs)])
         rank = np.ceil(0.5 * ns).astype(np.int64)  # percentile_disc(0.5)
         med = vs[starts + rank - 1]
@@ -291,14 +272,11 @@ def grouped_mad(ds, group_col: str, values_fn, n_parts: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(_int_values(group_col, values_fn), batch_format="pyarrow"),
+                    group_col, kernel)
 
 
-def grouped_gini(ds, group_col: str, values_fn, n_parts: int = 32):
+def grouped_gini(ds, group_col: str, values_fn):
     """Gini coefficient per group over integer values -> Dataset[group,
     n, sum, gini_num, gini_den, gini].
 
@@ -309,25 +287,13 @@ def grouped_gini(ds, group_col: str, values_fn, n_parts: int = 32):
     the float `gini` is ONE division over exact ints (SQL replays it).
     Same hash-partition contract as :func:`grouped_quantiles`."""
 
-    def tag(t: pa.Table) -> pa.Table:
-        v = values_fn(t)
-        sel = pa.table(
-            {
-                group_col: t.column(group_col),
-                "_v": pa.array(np.asarray(v, np.int64), pa.int64()),
-            }
-        )
-        return sel.append_column(
-            "_part", pa.array(hash_parts(sel.column(group_col), n_parts), pa.int64())
-        )
-
     def kernel(part: pa.Table) -> pa.Table:
         g = np.asarray(part.column(group_col).to_pylist(), dtype=object)
         v = part.column("_v").to_numpy(zero_copy_only=False).astype(np.int64)
         ug, ginv = np.unique(g, return_inverse=True)
         order = np.lexsort((v, ginv))
         gs, vs = ginv[order], v[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(gs) > 0])
+        starts = _run_starts(gs)
         ns = np.diff(np.r_[starts, len(gs)])
         i_in_group = np.arange(len(vs), dtype=np.int64) - np.repeat(starts, ns) + 1
         s1 = np.add.reduceat(vs, starts)
@@ -347,11 +313,8 @@ def grouped_gini(ds, group_col: str, values_fn, n_parts: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(_int_values(group_col, values_fn), batch_format="pyarrow"),
+                    group_col, kernel)
 
 
 def ks_two_sample(ds, type_col: str, values_fn, type_a: str, type_b: str):
@@ -419,12 +382,11 @@ def pivot_counts(
     row_col: str,
     col_col: str,
     categories: list[str],
-    n_parts: int = 32,
 ):
     """Pivot to a wide count table -> Dataset[row_col, <one int64 column
     per category>].  ``categories`` is the EXPLICIT column domain — no
     discovery pass over the data, so the pipeline stays one streaming
-    partial + one hash-partitioned reduce (row cardinality may scale
+    partial + one exchange on the row column (row cardinality may scale
     with data; the category list is schema-sized).  Values outside
     ``categories`` are dropped.
 
@@ -433,14 +395,11 @@ def pivot_counts(
     into the wide layout with a single np.add.at scatter."""
     cats = list(categories)
     cat_sorted = np.array(sorted(cats), dtype=object)
-    from rasters_ray.util import hash_parts
 
     def partial(t: pa.Table) -> pa.Table:
         sel = t.select([row_col, col_col])
         if t.num_rows == 0:
-            return sel.append_column("n", pa.array([], pa.int64())).append_column(
-                "_part", pa.array([], pa.int64())
-            )
+            return sel.append_column("n", pa.array([], pa.int64()))
         r = np.asarray(sel.column(row_col).to_pylist(), dtype=object)
         c = np.asarray(sel.column(col_col).to_pylist(), dtype=object)
         pos = np.searchsorted(cat_sorted, c)
@@ -452,7 +411,7 @@ def pivot_counts(
         uc, counts = np.unique(combo, return_counts=True)
         out_r = ur[(uc // np.int64(len(cat_sorted))).astype(np.int64)]
         out_c = cat_sorted[(uc % np.int64(len(cat_sorted))).astype(np.int64)]
-        out = pa.table(
+        return pa.table(
             {
                 row_col: pa.array(out_r, pa.string())
                 if sel.column(row_col).type == pa.string()
@@ -460,9 +419,6 @@ def pivot_counts(
                 col_col: pa.array(out_c, pa.string()),
                 "n": pa.array(counts.astype(np.int64), pa.int64()),
             }
-        )
-        return out.append_column(
-            "_part", pa.array(hash_parts(out.column(row_col), n_parts), pa.int64())
         )
 
     def widen(group: pa.Table) -> pa.Table:
@@ -482,11 +438,7 @@ def pivot_counts(
             cols[str(cat)] = pa.array(mat[:, j], pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(widen, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), row_col, widen)
 
 
 def exact_quantiles(

@@ -17,8 +17,8 @@ Pipeline shape::
     left  ------map_batches--> bloom prefilter (definite-miss rows drop)
                --hash_join----> exact left-semi on the survivors
 
-The engine's ``hash_parts``/``hash_u64`` family provides the key hash,
-so the filter agrees with every other stage's partitioning.
+The engine's ``hash_u64`` provides the key hash, the same one
+``util.exchange`` partitions by.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def bloom_semi_join(
     right_on: str | None = None,
     m_bits: int = 1 << 20,
     k: int = 4,
-    n_parts: int = 64,
 ):
     """EXACT left-semi join with a Bloom prefilter: definite misses drop
     before the shuffle; survivors go through the exact distributed
@@ -143,5 +142,4 @@ def bloom_semi_join(
         on,
         right_on=right_on,
         how="left semi",
-        n_parts=n_parts,
     )

@@ -10,7 +10,7 @@ current pair list by node, points every member of the group at the
 group minimum, and emits the shortcut pairs; labels only ever decrease,
 and the fixpoint maps every non-root node to its component minimum.
 
-Scale shape: ONE hash-partitioned groupby shuffle per round with a
+Scale shape: ONE ``util.exchange`` on the node per round with a
 fully vectorized per-partition kernel (lexsort + minimum.reduceat —
 never a per-node Python walk); rounds converge in O(log n) for the
 star/clique-shaped components dedup produces (diameter-bound in
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import hash_parts
+from rasters_ray.util import exchange
 
 __all__ = ["connected_components", "cluster_sizes"]
 
@@ -46,7 +46,7 @@ def _ccf_round(group: pa.Table) -> pa.Table:
     v = group.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((v, k))
     k, v = k[order], v[order]
-    starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]]))
+    starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]])[: len(k)])
     counts = np.diff(np.append(starts, len(k)))
     m = np.minimum.reduceat(v, starts)
     kk = k[starts]
@@ -60,28 +60,17 @@ def _ccf_round(group: pa.Table) -> pa.Table:
     return pa.table({"u": pa.array(a, pa.int64()), "v": pa.array(b, pa.int64())})
 
 
-def _orient_both(t: pa.Table, n_parts: int) -> pa.Table:
+def _orient_both(t: pa.Table) -> pa.Table:
     u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
     v = t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
     keep = u != v
     u, v = u[keep], v[keep]
     a = np.concatenate([u, v])
     b = np.concatenate([v, u])
-    part = hash_parts(pa.array(a), n_parts)
-    return pa.table(
-        {
-            "u": pa.array(a, pa.int64()),
-            "v": pa.array(b, pa.int64()),
-            "_p": pa.array(part, pa.int64()),
-        }
-    )
+    return pa.table({"u": pa.array(a, pa.int64()), "v": pa.array(b, pa.int64())})
 
 
-def connected_components(
-    edges_ds,
-    max_iters: int = 32,
-    n_parts: int = 64,
-):
+def connected_components(edges_ds, max_iters: int = 32):
     """Edge Dataset[(u:int64, v:int64)] -> Dataset[(node, root)] mapping
     EVERY node of the edge set (roots included, root -> root) to its
     component minimum.  Self-loops are ignored; duplicate edges are
@@ -92,14 +81,8 @@ def connected_components(
     pairs = edges_ds.materialize()
     prev = None
     for _ in range(int(max_iters)):
-        pairs = (
-            pairs.map_batches(
-                lambda t: _orient_both(t, n_parts), batch_format="pyarrow"
-            )
-            .groupby("_p")
-            .map_groups(_ccf_round, batch_format="pyarrow")
-            .materialize()
-        )
+        pairs = exchange(pairs.map_batches(_orient_both, batch_format="pyarrow"),
+                         "u", _ccf_round).materialize()
         from ray.data.aggregate import Count, Sum
 
         agg = pairs.aggregate(Count(), Sum("u"), Sum("v"))  # one pass
@@ -113,8 +96,8 @@ def connected_components(
         raise RuntimeError(f"connected_components: no fixpoint in {max_iters} rounds")
 
     # At the fixpoint every pair is (non-root node, component root) —
-    # possibly duplicated across partitions.  One low-cardinality-per-key
-    # groupby dedups and appends the roots' self rows.
+    # possibly duplicated across partitions.  One exchange on the node
+    # dedups and appends the roots' self rows.
     def finalize(t: pa.Table) -> pa.Table:
         u = t.column("u").to_numpy(zero_copy_only=False)
         v = t.column("v").to_numpy(zero_copy_only=False)
@@ -122,14 +105,7 @@ def connected_components(
         a = np.concatenate([u, roots])
         b = np.concatenate([v, roots])
         a, b = _dedup_pairs(a, b)
-        part = hash_parts(pa.array(a), n_parts)
-        return pa.table(
-            {
-                "node": pa.array(a, pa.int64()),
-                "root": pa.array(b, pa.int64()),
-                "_p": pa.array(part, pa.int64()),
-            }
-        )
+        return pa.table({"node": pa.array(a, pa.int64()), "root": pa.array(b, pa.int64())})
 
     def dedup_part(g: pa.Table) -> pa.Table:
         a = g.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -139,14 +115,10 @@ def connected_components(
             {"node": pa.array(a, pa.int64()), "root": pa.array(b, pa.int64())}
         )
 
-    return (
-        pairs.map_batches(finalize, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(dedup_part, batch_format="pyarrow")
-    )
+    return exchange(pairs.map_batches(finalize, batch_format="pyarrow"), "node", dedup_part)
 
 
-def cluster_sizes(cc_ds, n_parts: int = 64):
+def cluster_sizes(cc_ds):
     """(node, root) -> (node, root, csize) where csize counts the nodes
     of the component — partial counts per batch, then a hash-partitioned
     final combine, then a broadcast-free second pass is avoided by
@@ -178,4 +150,4 @@ def cluster_sizes(cc_ds, n_parts: int = 64):
         .groupby("root")
         .map_groups(final, batch_format="pyarrow")
     )
-    return hash_join(cc_ds, sizes, on="root", how="inner", n_parts=n_parts)
+    return hash_join(cc_ds, sizes, on="root", how="inner")

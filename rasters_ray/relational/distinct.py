@@ -2,9 +2,9 @@
 
 ``distinct_count`` is the exact path: distinct (group, value) pairs are
 reduced per batch BEFORE the shuffle (wire volume is pair-cardinality
-per block, not row count), hash-partitioned by VALUE so each partition
-sees every copy of a pair exactly once, then per-group partial counts
-take a second (tiny) hash-partitioned sum.  No global sort, no driver
+per block, not row count), exchanged by VALUE so each partition sees
+every copy of a pair exactly once, then per-group partial counts take
+a second (tiny) exchange by group and a sum.  No global sort, no driver
 materialization, both reduces fully vectorized.
 
 ``hll_add``/``hll_merge``/``hll_count`` are the sketch path for
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import hash_parts
+from rasters_ray.util import exchange
 
 __all__ = ["distinct_count", "hll_register_table", "hll_count", "HLL_P"]
 
@@ -31,41 +31,34 @@ __all__ = ["distinct_count", "hll_register_table", "hll_count", "HLL_P"]
 # ---------------------------------------------------------------------------
 
 
-def distinct_count(ds, group_col: str, value_col: str, n_parts: int = 32):
+def distinct_count(ds, group_col: str, value_col: str):
     """Exact COUNT(DISTINCT value) per group -> Dataset[(group, n_distinct)].
 
-    Stage 1 partials emit each block's distinct (group, value) pairs keyed
-    by ``hash(value)``; stage 2 dedups pairs within its partition (every
-    global copy of a pair lands in the same partition, so local distinct
-    IS global distinct) and counts per group; stage 3 sums the per-
+    Stage 1 partials emit each block's distinct (group, value) pairs;
+    stage 2, an exchange on the value, dedups pairs within its partition
+    (every global copy of a pair lands in the same partition, so local
+    distinct IS global distinct) and counts per group; stage 3 sums the per-
     partition counts per group — group cardinality may scale with data,
-    so this is a hash-partitioned vectorized reduce, not a per-group
-    Python walk."""
+    so this is an exchange on the group and a vectorized reduce, not a
+    per-group Python walk."""
 
     def pairs(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:  # keep the input schema (no drift on empty blocks)
-            gv = t.select([group_col, value_col])
-            return gv.append_column("_part", pa.array([], pa.int64()))
-        gv = t.select([group_col, value_col]).group_by(
+            return t.select([group_col, value_col])
+        return t.select([group_col, value_col]).group_by(
             [group_col, value_col]
         ).aggregate([])
-        return gv.append_column(
-            "_part", pa.array(hash_parts(gv.column(value_col), n_parts), pa.int64())
-        )
 
     def count_part(group: pa.Table) -> pa.Table:
         uniq = group.select([group_col, value_col]).group_by(
             [group_col, value_col]
         ).aggregate([])
         counted = uniq.group_by([group_col]).aggregate([(value_col, "count")])
-        out = pa.table(
+        return pa.table(
             {
                 group_col: counted.column(group_col),
                 "n_distinct": counted.column(f"{value_col}_count").cast(pa.int64()),
             }
-        )
-        return out.append_column(
-            "_gpart", pa.array(hash_parts(out.column(group_col), n_parts), pa.int64())
         )
 
     def sum_group(group: pa.Table) -> pa.Table:
@@ -77,13 +70,8 @@ def distinct_count(ds, group_col: str, value_col: str, n_parts: int = 32):
             }
         )
 
-    return (
-        ds.map_batches(pairs, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(count_part, batch_format="pyarrow")
-        .groupby("_gpart")
-        .map_groups(sum_group, batch_format="pyarrow")
-    )
+    counts = exchange(ds.map_batches(pairs, batch_format="pyarrow"), value_col, count_part)
+    return exchange(counts, group_col, sum_group)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ island.  The reference has no relational layer (SURVEY §2.7); this is
 the engine's sweep-line union operator, the time-domain sibling of
 `BBox.merge` (reference `rasters/bbox.py:81-108`).
 
-Scale shape: intervals hash-partition by user (one all-to-all), each
+Scale shape: one ``util.exchange`` on the user, each
 partition resolves ALL its users in one vectorized pass — lexsort,
 segment-reset running max (the island rule: a new island starts where
 start > max(end) over earlier same-user rows), reduceat aggregation.
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from rasters_ray.util import exchange
 
 __all__ = ["island_stats_arrays", "merged_interval_stats"]
 
@@ -67,13 +69,9 @@ def island_stats_arrays(u: np.ndarray, s: np.ndarray, e: np.ndarray):
     return users, counts.astype(np.int64), covered, longest
 
 
-def merged_interval_stats(ds, user_col: str, start_col: str, end_col: str,
-                          n_parts: int = 32):
-    """Distributed island stats; start/end columns are int64 (e.g. us)."""
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column(user_col).to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % n_parts, pa.int64()))
+def merged_interval_stats(ds, user_col: str, start_col: str, end_col: str):
+    """Distributed island stats; start/end columns are int64 (e.g. us):
+    one exchange on the user, then ``island_stats_arrays`` per part."""
 
     def fold(group: pa.Table) -> pa.Table:
         u = group.column(user_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -89,8 +87,4 @@ def merged_interval_stats(ds, user_col: str, start_col: str, end_col: str,
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return exchange(ds, user_col, fold)

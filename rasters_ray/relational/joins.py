@@ -3,18 +3,19 @@ as-of join, interval (range) join.
 
 Scale shapes
 ------------
-- ``hash_join``: ONE union + groupby all-to-all.  Both sides are tagged
-  with the same hash partition of their key (``util.hash_parts``), the
-  union is grouped by partition, and each partition joins its two halves
-  with the Acero hash join (``pyarrow.Table.join``, single-threaded per
-  task — Ray owns the parallelism).  Works for every Acero join type
-  (inner / left|right|full outer / semi / anti).  This is the large ⋈
-  large path; at 256 nodes the shuffle moves each row exactly once.
+- ``hash_join``: ONE ``util.exchange`` of the two sides' union.  Each
+  row is tagged with the hash of its side's key columns (``_jh``, one
+  shared int64 column although the sides name their keys differently),
+  the exchange partitions the union on it, and each partition joins its
+  two halves with the Acero hash join (``pyarrow.Table.join``,
+  single-threaded per task — Ray owns the parallelism).  Works for every
+  Acero join type (inner / left|right|full outer / semi / anti).  This
+  is the large ⋈ large path; the shuffle moves each row exactly once.
 - ``broadcast_join``: zero-shuffle path for a small right side — the
   driver ``ray.put``s the table once, every map task joins its batch
   against the copy ``util.fetch`` deserializes once per worker.
 - ``asof_join``: per-key time-series join ("latest right row at or
-  before each left row").  Same single union+groupby shuffle; inside a
+  before each left row").  Same single exchange of the union; inside a
   partition the match is fully vectorized — lexsort both halves by
   (key, ts) and one ``np.searchsorted`` over a composite rank (no
   per-key Python loop; keys are dense-coded per partition so the
@@ -35,9 +36,9 @@ Why not ``ray.data.Dataset.join``: the 2.49 native join is an alpha
 hash-shuffle operator that spawns one aggregator ACTOR per partition —
 measured here (64 partitions, 8 CPUs, sf0.1 lineitem ⋈ orders) it
 ballooned past 100 worker processes and did not finish in 2 minutes,
-while this union+groupby path (which reuses the same battle-tested
-sort-shuffle machinery as every other stage in the repo) completes in
-~4 s.  Revisit when the native operator stabilizes.
+while the union + exchange path (the engine's one shuffle primitive,
+a known-boundary sort of hash-tagged rows) completed in ~4 s.  Revisit
+when the native operator stabilizes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from rasters_ray.util import fetch, hash_parts, hash_parts_cols
+from rasters_ray.util import exchange, fetch, hash_cols
 
 _RPREFIX = "__r_"
 
@@ -70,31 +71,35 @@ def _base_schema(ds) -> pa.Schema:
     return getattr(sch, "base_schema", sch)
 
 
-def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, n_parts, schemas=None):
+def _side_schemas(left_ds, right_ds) -> tuple:
+    """The (left, right) schemas of a join's sides.  ``Dataset.schema()``
+    runs an unexecuted pipeline far enough to see one block, so each
+    operator asks once and passes the pair down."""
+    return _base_schema(left_ds), _base_schema(right_ds)
+
+
+def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, schemas):
     """Tag both sides into one union-compatible layout.
 
     Union schema = left columns ++ ``__r_``-prefixed right columns ++
-    ``_side`` (int8) ++ ``_jp`` (hash partition of the join key; keys may
-    be a single column name or a list — composite keys co-partition via
-    ``util.hash_parts_cols``).  The other side's columns ride as typed
-    nulls (validity-bitmap only until a partition materializes them).
-
-    ``schemas`` is the (left, right) pair when the caller knows it;
-    otherwise each side's ``Dataset.schema()`` is asked, which runs an
-    unexecuted pipeline far enough to see one block."""
+    ``_side`` (int8) ++ ``_jh`` (int64: ``util.hash_cols`` of the side's
+    key columns; keys may be a single column name or a list, and equal
+    keys hash equally on both sides).  The other side's columns ride as
+    typed nulls (validity-bitmap only until a partition materializes
+    them).  ``schemas`` is the (left, right) pair of ``_side_schemas``."""
     lkeys = [left_key_col] if isinstance(left_key_col, str) else list(left_key_col)
     rkeys = [right_key_col] if isinstance(right_key_col, str) else list(right_key_col)
-    lsch, rsch = schemas or (_base_schema(left_ds), _base_schema(right_ds))
+    lsch, rsch = schemas
     lnames = list(lsch.names)
     rnames = list(rsch.names)
-    union_names = lnames + [_RPREFIX + n for n in rnames] + ["_side", "_jp"]
+    union_names = lnames + [_RPREFIX + n for n in rnames] + ["_side", "_jh"]
 
     def tag_left(t: pa.Table) -> pa.Table:
         n = t.num_rows
         cols = [t.column(nm) for nm in lnames]
         cols += [pa.nulls(n, rsch.field(nm).type) for nm in rnames]
         cols.append(pa.array(np.zeros(n, np.int8), pa.int8()))
-        cols.append(pa.array(hash_parts_cols(t, lkeys, n_parts), pa.int64()))
+        cols.append(pa.array(hash_cols(t, lkeys).view(np.int64)))
         return pa.Table.from_arrays(cols, names=union_names)
 
     def tag_right(t: pa.Table) -> pa.Table:
@@ -102,7 +107,7 @@ def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, n_parts, 
         cols = [pa.nulls(n, lsch.field(nm).type) for nm in lnames]
         cols += [t.column(nm) for nm in rnames]
         cols.append(pa.array(np.ones(n, np.int8), pa.int8()))
-        cols.append(pa.array(hash_parts_cols(t, rkeys, n_parts), pa.int64()))
+        cols.append(pa.array(hash_cols(t, rkeys).view(np.int64)))
         return pa.Table.from_arrays(cols, names=union_names)
 
     union = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
@@ -126,7 +131,6 @@ def hash_join(
     on: str,
     right_on: str | None = None,
     how: str = "inner",
-    n_parts: int = 64,
     right_suffix: str = "_r",
     post=None,
 ):
@@ -141,16 +145,19 @@ def hash_join(
     per-partition join task — fuse a reduction (e.g.
     :func:`rasters_ray.relational.int_sum_partial`) here so the join
     output collapses before it ever hits the object store, instead of
-    shipping the full join result to a second pass."""
-    return _hash_join(left_ds, right_ds, on, right_on or on, how, n_parts, right_suffix, post)
+    shipping the full join result to a second pass.  Like every
+    ``util.exchange`` function, ``post`` also sees zero-row joins and
+    returns their typed empty result."""
+    return _hash_join(left_ds, right_ds, on, right_on or on, how, right_suffix, post)
 
 
-def _hash_join(left_ds, right_ds, on, right_on, how, n_parts, right_suffix, post, schemas=None):
+def _hash_join(left_ds, right_ds, on, right_on, how, right_suffix, post, schemas=None):
     """``hash_join`` with the sides' (left, right) schemas when known."""
-    union, lnames, rnames = _union_side_tables(left_ds, right_ds, on, right_on, n_parts, schemas)
+    schemas = schemas or _side_schemas(left_ds, right_ds)
+    union, lnames, rnames = _union_side_tables(left_ds, right_ds, on, right_on, schemas)
 
-    def join_part(group: pa.Table) -> pa.Table:
-        left_t, right_t = _split_sides(group, lnames, rnames)
+    def join_part(part: pa.Table) -> pa.Table:
+        left_t, right_t = _split_sides(part, lnames, rnames)
         joined = left_t.join(
             right_t,
             keys=[on] if isinstance(on, str) else list(on),
@@ -161,7 +168,7 @@ def _hash_join(left_ds, right_ds, on, right_on, how, n_parts, right_suffix, post
         )
         return post(joined) if post is not None else joined
 
-    return union.groupby("_jp").map_groups(join_part, batch_format="pyarrow")
+    return exchange(union, "_jh", join_part)
 
 
 def broadcast_join(
@@ -267,28 +274,27 @@ def asof_join(
     right_on: str | None = None,
     value_cols: list[str] | None = None,
     tolerance: int | None = None,
-    n_parts: int = 64,
 ):
     """Distributed as-of join: for every left row, attach ``value_cols``
     from the latest right row with the same ``by`` key and
     ``right.ts <= left.ts`` (nulls when none; optional ``tolerance`` in
     ts ticks).  Matches DuckDB ``ASOF LEFT JOIN`` semantics.
 
-    One union+groupby all-to-all on hash(``by``); the per-partition
-    kernel is a single composite-rank searchsorted (see ``_asof_part``).
+    One exchange of the union on hash(``by``); the per-partition kernel
+    is a single composite-rank searchsorted (see ``_asof_part``).
     """
     right_on = right_on or on
+    schemas = _side_schemas(left_ds, right_ds)
     if value_cols is None:
-        rsch = _base_schema(right_ds)
-        value_cols = [n for n in rsch.names if n not in (by, right_on)]
-    union, lnames, rnames = _union_side_tables(left_ds, right_ds, by, by, n_parts)
+        value_cols = [n for n in schemas[1].names if n not in (by, right_on)]
+    union, lnames, rnames = _union_side_tables(left_ds, right_ds, by, by, schemas)
 
     def part(group: pa.Table) -> pa.Table:
         return _asof_part(
             group, lnames, rnames, by, on, right_on, value_cols, tolerance
         )
 
-    return union.groupby("_jp").map_groups(part, batch_format="pyarrow")
+    return exchange(union, "_jh", part)
 
 
 def interval_join(
@@ -387,7 +393,6 @@ def skew_join(
     right_on: str | None = None,
     hot_threshold: int = 100_000,
     sample_blocks: int | None = None,
-    n_parts: int = 64,
     right_suffix: str = "_r",
 ):
     """Skew-aware inner equi-join: hot keys take the broadcast path,
@@ -423,7 +428,7 @@ def skew_join(
     if not hot_keys:
         return hash_join(
             left_ds, right_ds, on=on, right_on=right_on,
-            how="inner", n_parts=n_parts, right_suffix=right_suffix,
+            how="inner", right_suffix=right_suffix,
         )
 
     hot_arr = pa.array(sorted(hot_keys))
@@ -459,7 +464,7 @@ def skew_join(
     cold_joined = _hash_join(
         left_ds.map_batches(left_cold, batch_format="pyarrow"),
         right_ds.map_batches(right_cold, batch_format="pyarrow"),
-        on, right_on, how="inner", n_parts=n_parts, right_suffix=right_suffix, post=None,
-        schemas=(_base_schema(left_ds), _base_schema(right_ds)),
+        on, right_on, how="inner", right_suffix=right_suffix, post=None,
+        schemas=_side_schemas(left_ds, right_ds),
     )
     return hot_joined.union(cold_joined)

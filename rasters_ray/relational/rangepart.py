@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray.relational.aggregates import exact_quantiles
+from rasters_ray.util import exchange
 
 __all__ = ["range_partition_stats", "winsorized_stats", "global_ntile"]
 
@@ -179,7 +180,7 @@ def global_ntile(ds, key_col: str, values_fn, n_tiles: int):
     (value, count) partials into the value histogram — shuffle volume
     is distinct VALUES, not rows (the value domain is bounded: money
     cents); the cumulative histogram gives every value its base rank
-    and the total N. (2) rows hash-partition BY VALUE; within a value
+    and the total N. (2) rows exchange BY VALUE; within a value
     group the unique key breaks ties (lexsort), so global_rank =
     base[value] + local_rank, and the SQL NTILE size rule
     (first N%n tiles get one extra row) is applied per row.
@@ -226,7 +227,7 @@ def global_ntile(ds, key_col: str, values_fn, n_tiles: int):
         v = group.column("_v").to_numpy(zero_copy_only=False)
         order = np.lexsort((k, v))
         vo, ko = v[order], k[order]
-        starts = np.flatnonzero(np.r_[True, vo[1:] != vo[:-1]])
+        starts = np.flatnonzero(np.r_[True, vo[1:] != vo[:-1]][: len(vo)])
         ns = np.diff(np.r_[starts, len(vo)])
         local = np.arange(len(vo), dtype=np.int64) - np.repeat(starts, ns)
         b = base[np.searchsorted(vals, vo[starts])]
@@ -239,14 +240,6 @@ def global_ntile(ds, key_col: str, values_fn, n_tiles: int):
             }
         )
 
-    def part_tag(t: pa.Table) -> pa.Table:
-        v = t.column("_v").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(v % 64, pa.int64()))
-
-    # co-locate same-VALUE rows (64 hash parts, not one group per
+    # co-locate same-VALUE rows (one exchange, not one group per
     # distinct value) — assign resolves all values of a partition at once
-    return (
-        tagged.map_batches(part_tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(assign, batch_format="pyarrow")
-    )
+    return exchange(tagged, "_v", assign)

@@ -7,8 +7,8 @@ complete engine needs the relational trio.  All three are ONE shuffle:
   * tag each side's rows with a side bit, pre-reduce per (block, key) to
     (key, seen_a, seen_b) — the combiner collapses duplicate keys before
     anything crosses the wire;
-  * hash-partition by key (`rasters_ray.util.hash_parts`, the repo-wide
-    partitioner) and OR the seen bits per key;
+  * exchange on the key (`rasters_ray.util.exchange`, the engine's one
+    shuffle) and OR the seen bits per key;
   * emit keys where the predicate holds: a|b (union), a&b (intersect),
     a&~b (except).
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import hash_parts
+from rasters_ray.util import exchange
 
 __all__ = ["set_op"]
 
@@ -39,7 +39,6 @@ def set_op(
     op: str,
     key_col_b: str | None = None,
     out_col: str | None = None,
-    n_parts: int = 32,
 ):
     """Distinct-set operation over one key column of each side ->
     Dataset[(out_col,)] of distinct keys satisfying ``op``."""
@@ -66,7 +65,6 @@ def set_op(
                     "k": arr,
                     "a": pa.array(np.full(len(uniq), is_a), pa.bool_()),
                     "b": pa.array(np.full(len(uniq), not is_a), pa.bool_()),
-                    "_part": pa.array(hash_parts(arr, n_parts), pa.int64()),
                 }
             )
 
@@ -89,4 +87,4 @@ def set_op(
     tagged = ds_a.map_batches(tagger(key_col_a, True), batch_format="pyarrow").union(
         ds_b.map_batches(tagger(key_col_b, False), batch_format="pyarrow")
     )
-    return tagged.groupby("_part").map_groups(reduce_part, batch_format="pyarrow")
+    return exchange(tagged, "k", reduce_part)

@@ -130,7 +130,7 @@ def _lattice_composite(images_ds, batch_size: int, pixels, ufunc, identity: int,
         return pa.table({f.name: pa.array(cols[f.name], f.type) for f in out_schema})
 
     partials = images_ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size)
-    return exchange(partials, ["key"], combine, out_schema)
+    return exchange(partials, ["key"], combine)
 
 
 def _int64_schema(*names) -> pa.Schema:
@@ -417,7 +417,9 @@ def composite_cells(
                                         batch_format="pyarrow")
 
     def combine(part: pa.Table) -> pa.Table:
+        if part.num_rows == 0:
+            return COMPOSITE_SCHEMA.empty_table()
         return pa.concat_tables(
             [composite_group(g, cell_size, mode, order_col) for g in _cell_groups(part)])
 
-    return exchange(tiles_ds, ["cell_key"], combine, COMPOSITE_SCHEMA)
+    return exchange(tiles_ds, ["cell_key"], combine)

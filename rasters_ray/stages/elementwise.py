@@ -20,6 +20,7 @@ import numpy as np
 import pyarrow as pa
 
 from .. import codec
+from ..util import exchange
 
 
 def _map_pixels(batch: pa.Table, fn: Callable[[np.ndarray], np.ndarray]) -> pa.Table:
@@ -138,8 +139,13 @@ def zip_apply(
     """Align two image datasets on ``key`` and apply a binary pixel op —
     e.g. fill (isnan(a) -> b, raster.py:1920-1924) or masked difference.
 
-    Implemented as union + groupby(key).map_groups (a co-shuffle hash join;
-    no broadcast side, both sides may be large)."""
+    Implemented as one ``util.exchange`` of the union on ``key`` (a
+    co-shuffle hash join; no broadcast side, both sides may be large).
+    A key with exactly one row on each side gives one output row (A's
+    columns and ``_side``, with the result's pixels); any other key drops
+    (inner)."""
+    import pyarrow.compute as pc
+
     a_tag = a_ds.map_batches(
         lambda t: t.append_column("_side", pa.array([0] * t.num_rows, pa.int8())),
         batch_format="pyarrow",
@@ -149,24 +155,23 @@ def zip_apply(
         batch_format="pyarrow",
     )
 
-    def combine(g: pa.Table) -> pa.Table:
-        sides = g.column("_side").to_pylist()
-        if len(sides) != 2 or 0 not in sides or 1 not in sides:
-            return g.schema.empty_table()  # unmatched key -> dropped (inner)
-        ia, ib = sides.index(0), sides.index(1)
-        arr_a = codec.decode(g.column("bytes")[ia].as_py(), g.column("fmt")[ia].as_py())
-        arr_b = codec.decode(g.column("bytes")[ib].as_py(), g.column("fmt")[ib].as_py())
-        res = fn(arr_a, arr_b).astype(np.float32)
-        out = g.slice(ia, 1)
-        out = out.set_column(
-            out.column_names.index("bytes"), "bytes",
-            pa.array([codec.encode(res, "npy")], pa.binary()),
-        )
-        return out.set_column(
-            out.column_names.index("fmt"), "fmt", pa.array(["npy"], pa.string())
-        )
+    def combine(part: pa.Table) -> pa.Table:
+        per_key = part.group_by(key).aggregate([("_side", "count"), ("_side", "sum")])
+        pairs = per_key.filter(pc.and_(pc.equal(per_key.column("_side_count"), 2),
+                                       pc.equal(per_key.column("_side_sum"), 1))).column(key)
+        # one A row then one B row per matched key
+        both = part.filter(pc.is_in(part.column(key), value_set=pairs)).sort_by(
+            [(key, "ascending"), ("_side", "ascending")])
+        out = both.take(pa.array(np.arange(0, both.num_rows, 2)))
+        b = both.take(pa.array(np.arange(1, both.num_rows, 2)))
+        res = [codec.encode(fn(codec.decode(ba, fa), codec.decode(bb, fb)).astype(np.float32), "npy")
+               for ba, fa, bb, fb in zip(out.column("bytes").to_pylist(), out.column("fmt").to_pylist(),
+                                         b.column("bytes").to_pylist(), b.column("fmt").to_pylist())]
+        out = out.set_column(out.column_names.index("bytes"), "bytes", pa.array(res, pa.binary()))
+        return out.set_column(out.column_names.index("fmt"), "fmt",
+                              pa.array(["npy"] * out.num_rows, pa.string()))
 
-    return a_tag.union(b_tag).groupby(key).map_groups(combine, batch_format="pyarrow")
+    return exchange(a_tag.union(b_tag), key, combine)
 
 
 def fill_from(a_ds, b_ds, key: str = "image_id"):

@@ -20,7 +20,7 @@ from pieces the engine already has:
    the two sides' components together);
 4. :func:`rasters_ray.relational.connected_components` (CCF rounds)
    resolves the equivalence graph — whose size is O(boundary pixels),
-   NOT O(raster) — and a hash join + hash-partitioned combine folds the
+   NOT O(raster) — and a hash join + one exchange on the root fold the
    tile-partial stats onto the global roots.
 
 The contract oracle recomputes components per pixel with a recursive
@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray.stages.focal import halo_exchange_tiled
+from rasters_ray.util import exchange
 
 __all__ = ["label_runs_min", "local_label", "label_components", "sieve_filter",
            "landscape_metrics"]
@@ -105,7 +106,6 @@ def label_components(
     images_ds,
     threshold: float,
     tile: int = 32,
-    n_parts: int = 64,
     image_no=_default_image_no,
 ):
     """Label >= ``threshold`` masks across a tile lattice ->
@@ -113,7 +113,6 @@ def label_components(
     with one row per GLOBAL component, anchored at its minimum pixel
     (comp_r, comp_c).  Rows/cols must fit 16 bits; image numbers 31."""
     from rasters_ray.relational import connected_components, hash_join
-    from rasters_ray.util import hash_parts
 
     def tile_fn(image_id, canvas, tr0, tc0, trows, tcols) -> pa.Table:
         d = np.int64(image_no(image_id))
@@ -220,19 +219,14 @@ def label_components(
         ),
         batch_format="pyarrow",
     )
-    cc_map = connected_components(edges, n_parts=n_parts)
+    cc_map = connected_components(edges)
     # components fully interior to one tile never hit the seam graph:
     # left-outer join, missing root := the local label itself
-    joined = hash_join(
-        stats, cc_map, on="u", right_on="node", how="left outer", n_parts=n_parts
-    )
+    joined = hash_join(stats, cc_map, on="u", right_on="node", how="left outer")
 
-    def part_key(t: pa.Table) -> pa.Table:
+    def fill_root(t: pa.Table) -> pa.Table:
         root = pc.coalesce(t.column("root"), t.column("u"))
-        t = t.drop_columns(["root"]).append_column("root", root)
-        return t.append_column(
-            "_p", pa.array(hash_parts(root, n_parts), pa.int64())
-        )
+        return t.drop_columns(["root"]).append_column("root", root)
 
     def combine(g: pa.Table) -> pa.Table:
         root = g.column("root").to_numpy(zero_copy_only=False)
@@ -266,11 +260,7 @@ def label_components(
             }
         )
 
-    return (
-        joined.map_batches(part_key, batch_format="pyarrow")
-        .groupby("_p")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return exchange(joined.map_batches(fill_root, batch_format="pyarrow"), "root", combine)
 
 
 def sieve_filter(classes: np.ndarray, threshold: int) -> tuple:

@@ -13,8 +13,8 @@ Scenes sharing a ``stack_key`` are ASSUMED CO-REGISTERED (same grid,
 pixel (r, c) aligns by index — the standard precondition of per-pixel
 compositing).  Each scene is cut into ``tile x tile`` blocks inside
 ``map_batches``; blocks co-partition on ``(stack_key, tile_r, tile_c)``
-in ONE groupby shuffle whose group payload is T small tiles, never a
-whole scene.  Per-group kernels emit tiny partials (value histograms or
+in ONE ``util.exchange`` whose per-tile payload is T small tiles, never
+a whole scene.  Per-group kernels emit tiny partials (value histograms or
 integer trend sums) and a final low-cardinality groupby-sum combines
 them — pixels cross the wire once, as packed int64 tile lists.
 
@@ -40,7 +40,7 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray import codec
-from rasters_ray.util import map_groups_typed
+from rasters_ray.util import exchange
 
 __all__ = [
     "lower_median",
@@ -174,6 +174,26 @@ def _tile_rows(t: pa.Table, key_fn, tile: int) -> pa.Table:
     )
 
 
+_TILE_KEYS = ["stack_key", "tr", "tc"]
+
+
+def _per_tile(per_group, out_schema: pa.Schema):
+    """Exchange kernel: ``per_group`` over each (stack_key, tr, tc) tile
+    group of a partition, concatenated; an empty partition yields
+    ``out_schema``'s empty table."""
+
+    def per_part(part: pa.Table) -> pa.Table:
+        if part.num_rows == 0:
+            return out_schema.empty_table()
+        part = part.sort_by([(k, "ascending") for k in _TILE_KEYS])
+        key = np.stack([part.column(k).to_numpy() for k in _TILE_KEYS])
+        cuts = np.flatnonzero(np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0), True])
+        return pa.concat_tables(
+            [per_group(part.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])])
+
+    return per_part
+
+
 def _group_stack(g: pa.Table):
     """Sort a (stack_key, tr, tc) group by epoch -> (epochs, (T, n) stack)."""
     eps = g.column("epoch").to_numpy()
@@ -216,7 +236,7 @@ def stack_median_histogram(images_ds, key_fn, tile: int = 25):
     out_schema = pa.schema(
         [("stack_key", pa.int64()), ("value", pa.int64()), ("pcnt", pa.int64())]
     )
-    partials = map_groups_typed(tiles, ["stack_key", "tr", "tc"], per_group, out_schema)
+    partials = exchange(tiles, _TILE_KEYS, _per_tile(per_group, out_schema))
     return partials.groupby(["stack_key", "value"]).aggregate(
         Sum("pcnt", alias_name="n_px")
     )
@@ -250,7 +270,7 @@ def stack_mann_kendall(images_ds, key_fn, tile: int = 25):
     out_schema = pa.schema(
         [("stack_key", pa.int64()), ("s", pa.int64()), ("pcnt", pa.int64())]
     )
-    partials = map_groups_typed(tiles, ["stack_key", "tr", "tc"], per_group, out_schema)
+    partials = exchange(tiles, _TILE_KEYS, _per_tile(per_group, out_schema))
     return partials.groupby(["stack_key", "s"]).aggregate(
         Sum("pcnt", alias_name="n_px")
     )
@@ -285,7 +305,7 @@ def stack_theil_sen(images_ds, key_fn, tile: int = 25):
         [("stack_key", pa.int64()), ("num", pa.int64()),
          ("den", pa.int64()), ("pcnt", pa.int64())]
     )
-    partials = map_groups_typed(tiles, ["stack_key", "tr", "tc"], per_group, out_schema)
+    partials = exchange(tiles, _TILE_KEYS, _per_tile(per_group, out_schema))
     return partials.groupby(["stack_key", "num", "den"]).aggregate(
         Sum("pcnt", alias_name="n_px")
     )
@@ -325,7 +345,7 @@ def stack_trend_summary(images_ds, key_fn, tile: int = 25):
             ("sum_slope_num", pa.int64()),
         ]
     )
-    partials = map_groups_typed(tiles, ["stack_key", "tr", "tc"], per_group, out_schema)
+    partials = exchange(tiles, _TILE_KEYS, _per_tile(per_group, out_schema))
     return (
         partials.groupby("stack_key")
         .aggregate(

@@ -238,7 +238,7 @@ def crosstab_images(images_ds, classify):
     pixels never cross the exchange.  The stage runs as stateless tasks,
     so it needs no CPU reserved for an actor pool."""
     partials = images_ds.map_batches(CrosstabStage(classify), batch_format="pyarrow")
-    return exchange(partials, ["zone", "klass"], _sum_crosstabs, CROSSTAB_SCHEMA)
+    return exchange(partials, ["zone", "klass"], _sum_crosstabs)
 
 
 def crosstab(zones: np.ndarray, classes: np.ndarray) -> pa.Table:

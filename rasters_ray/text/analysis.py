@@ -17,7 +17,7 @@ from typing import Dict
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import fetch
+from rasters_ray.util import exchange, fetch
 
 _TOKEN_RE = re.compile(r"\S+")
 _UPPER_RE = re.compile(r"[A-Z]")
@@ -117,15 +117,15 @@ def word_repetition(batch: pa.Table, text_col: str = "text",
     return out
 
 
-def document_frequency(docs_ds, text_col: str = "text", n_parts: int = 32):
+def document_frequency(docs_ds, text_col: str = "text"):
     """Corpus-wide document frequency -> Dataset[(term, df)].
 
     Per batch: per-doc DISTINCT terms (one np.unique over (doc, term)
     codes) collapse to (term, partial_df) rows — the combiner runs
     before the shuffle, so wire volume is vocabulary-sized per block,
-    not token-stream-sized.  Final: hash-partitioned vectorized reduce
-    (term cardinality scales with data; never a per-term Python group)."""
-    from rasters_ray.util import hash_parts
+    not token-stream-sized.  Final: one exchange on the term and a
+    vectorized reduce (term cardinality scales with data; never a
+    per-term Python group)."""
 
     def partial(t: pa.Table) -> pa.Table:
         texts = t.column(text_col).to_pylist()
@@ -148,13 +148,8 @@ def document_frequency(docs_ds, text_col: str = "text", n_parts: int = 32):
         else:
             out_terms = np.array([], dtype=object)
             out_df = np.array([], dtype=np.int64)
-        tok_arr = pa.array(out_terms, pa.string())
         return pa.table(
-            {
-                "term": tok_arr,
-                "df": pa.array(out_df, pa.int64()),
-                "_part": pa.array(hash_parts(tok_arr, n_parts), pa.int64()),
-            }
+            {"term": pa.array(out_terms, pa.string()), "df": pa.array(out_df, pa.int64())}
         )
 
     def combine(group: pa.Table) -> pa.Table:
@@ -167,11 +162,7 @@ def document_frequency(docs_ds, text_col: str = "text", n_parts: int = 32):
             {"term": pa.array(uterm, pa.string()), "df": pa.array(sums, pa.int64())}
         )
 
-    return (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(combine, batch_format="pyarrow")
-    )
+    return exchange(docs_ds.map_batches(partial, batch_format="pyarrow"), "term", combine)
 
 
 def salient_terms(docs_ds, k: int = 3, id_col: str = "doc_id",
@@ -531,46 +522,35 @@ def heavy_hitter_tokens(
     )
 
 
-def exact_dedup_groups(docs_ds, id_col: str = "doc_id", text_col: str = "text",
-                       n_parts: int = 64):
-    """Exact dedup groups (content_key, keeper = min id, n_dupes) via a
-    hash-partitioned vectorized reduce. Cardinality here is one group per
+def exact_dedup_groups(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
+    """Exact dedup groups (content_key, keeper = min id, n_dupes) via one
+    exchange on the content key. Cardinality here is one group per
     UNIQUE DOCUMENT, so a per-key groupby().aggregate() (Python walk over
-    groups) cannot scale; instead keys hash into ``n_parts`` partitions
-    and each partition reduces with one argsort + reduceat pass."""
-    import zlib
-
-    def add_keys(t: pa.Table) -> pa.Table:
-        t = add_fingerprints(t, text_col)
-        keys = t.column("content_key").to_pylist()
-        part = np.array([zlib.crc32(k.encode()) % n_parts for k in keys], dtype=np.int64)
-        return t.append_column("_part", pa.array(part, pa.int64()))
+    groups) cannot scale; instead each exchange partition reduces all of
+    its keys with one argsort + reduceat pass."""
 
     def reduce_part(group: pa.Table) -> pa.Table:
         keys = np.asarray(group.column("content_key").to_pylist(), dtype=object)
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         order = np.argsort(keys, kind="stable")
         ks, si = keys[order], ids[order]
-        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]][: len(ks)])
         keeper = np.minimum.reduceat(si, starts)
         n = np.diff(np.r_[starts, len(ks)])
         return pa.table(
             {
                 "content_key": pa.array(ks[starts].tolist(), pa.string()),
-                "keeper_doc_id": pa.array(keeper),
+                "keeper_doc_id": pa.array(keeper, group.schema.field(id_col).type),
                 "n_dupes": pa.array(n, pa.int64()),
             }
         )
 
-    return (
-        docs_ds.map_batches(add_keys, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(reduce_part, batch_format="pyarrow")
-    )
+    keyed = docs_ds.map_batches(lambda t: add_fingerprints(t, text_col), batch_format="pyarrow")
+    return exchange(keyed, "content_key", reduce_part)
 
 
 def bigram_coverage(docs_ds, k: int = 200, id_col: str = "doc_id",
-                    text_col: str = "text", n_parts: int = 32):
+                    text_col: str = "text"):
     """LM-coverage quality signal (the integer-exact core of CCNet-style
     language-model filtering): how much of each document is made of the
     corpus's k most common bigrams.
@@ -579,14 +559,13 @@ def bigram_coverage(docs_ds, k: int = 200, id_col: str = "doc_id",
     OCCURRENCES that appear in the global top-k bigram table (ties broken
     (count DESC, bigram ASC) so the cut is deterministic).
 
-    Shape: per-batch bigram combiner (np.unique counts) -> ONE
-    hash-partitioned reduce to global counts -> per-partition top-k cut
-    (each bigram lives wholly in one partition, so the global top-k is a
-    driver merge of <= n_parts * k candidate rows) -> broadcast sorted
-    top array -> per-doc membership by searchsorted.  All integers."""
+    Shape: per-batch bigram combiner (np.unique counts) -> ONE exchange
+    on the bigram and a reduce to global counts -> per-partition top-k
+    cut (each bigram lives wholly in one partition, so the global top-k
+    is a driver merge of at most k candidate rows per partition) ->
+    broadcast sorted top array -> per-doc membership by searchsorted.
+    All integers."""
     import ray
-
-    from rasters_ray.util import hash_parts
 
     def _doc_bigrams(txt: str) -> np.ndarray:
         ws = _TOKEN_RE.findall(txt or "")
@@ -602,16 +581,12 @@ def bigram_coverage(docs_ds, k: int = 200, id_col: str = "doc_id",
             if len(g):
                 grams.append(g)
         if not grams:
-            return pa.table({"bg": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "_part": pa.array([], pa.int64())})
+            return pa.table({"bg": pa.array([], pa.string()), "n": pa.array([], pa.int64())})
         allg = np.concatenate(grams)
         uniq, counts = np.unique(allg, return_counts=True)
-        bg_arr = pa.array(uniq, pa.string())
         return pa.table({
-            "bg": bg_arr,
+            "bg": pa.array(uniq, pa.string()),
             "n": pa.array(counts.astype(np.int64), pa.int64()),
-            "_part": pa.array(hash_parts(bg_arr, n_parts), pa.int64()),
         })
 
     def reduce_top(group: pa.Table) -> pa.Table:
@@ -624,12 +599,8 @@ def bigram_coverage(docs_ds, k: int = 200, id_col: str = "doc_id",
         return pa.table({"bg": pa.array(uniq[order], pa.string()),
                          "n": pa.array(sums[order], pa.int64())})
 
-    cand = (
-        docs_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(reduce_top, batch_format="pyarrow")
-        .to_pandas()  # <= n_parts * k rows — driver-small
-    )
+    cand = exchange(docs_ds.map_batches(partial, batch_format="pyarrow"), "bg",
+                    reduce_top).to_pandas()  # <= k rows per partition — driver-small
     cand = cand.sort_values(["n", "bg"], ascending=[False, True], kind="mergesort")
     top = np.sort(cand["bg"].to_numpy()[:k].astype(object))
     top_ref = ray.put(top)

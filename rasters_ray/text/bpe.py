@@ -8,8 +8,8 @@ ONE streaming pass + a tiny reduce:
     current merge list to each distinct word, emit (pair, count) rows
     weighted by word frequency — the classic trainer optimization, so a
     round's wire volume is vocabulary-sized, not token-stream-sized;
-  * hash-partitioned reduce -> per-partition top-1 -> driver picks the
-    global best over <= n_parts candidate rows.
+  * one ``util.exchange`` on the pair -> per-partition top-1 -> driver
+    picks the global best over at most one candidate row per partition.
 
 Ties break (count DESC, pair ASC), so the merge sequence is fully
 deterministic and block-layout independent — the distributed trainer is
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import fetch, hash_parts
+from rasters_ray.util import exchange, fetch
 
 __all__ = ["apply_merges", "train_bpe", "bpe_train_local"]
 
@@ -53,7 +53,7 @@ def apply_merges(word: str, merges: list) -> list:
     return syms
 
 
-def _pair_rows(texts, merges, n_parts):
+def _pair_rows(texts, merges):
     """(pair, weighted count) rows over a batch of texts."""
     words: list = []
     for txt in texts:
@@ -63,7 +63,6 @@ def _pair_rows(texts, merges, n_parts):
             {
                 "pair": pa.array([], pa.string()),
                 "n": pa.array([], pa.int64()),
-                "_part": pa.array([], pa.int64()),
             }
         )
     uniq, counts = np.unique(np.asarray(words, dtype=object), return_counts=True)
@@ -79,7 +78,6 @@ def _pair_rows(texts, merges, n_parts):
             {
                 "pair": pa.array([], pa.string()),
                 "n": pa.array([], pa.int64()),
-                "_part": pa.array([], pa.int64()),
             }
         )
     parr = np.asarray(pair_strs, dtype=object)
@@ -87,18 +85,10 @@ def _pair_rows(texts, merges, n_parts):
     puniq, pinv = np.unique(parr, return_inverse=True)
     sums = np.zeros(len(puniq), np.int64)
     np.add.at(sums, pinv, warr)
-    pa_arr = pa.array(puniq, pa.string())
-    return pa.table(
-        {
-            "pair": pa_arr,
-            "n": pa.array(sums, pa.int64()),
-            "_part": pa.array(hash_parts(pa_arr, n_parts), pa.int64()),
-        }
-    )
+    return pa.table({"pair": pa.array(puniq, pa.string()), "n": pa.array(sums, pa.int64())})
 
 
-def train_bpe(docs_ds, n_merges: int = 8, text_col: str = "text",
-              n_parts: int = 16) -> pa.Table:
+def train_bpe(docs_ds, n_merges: int = 8, text_col: str = "text") -> pa.Table:
     """Distributed trainer -> Table[(merge_idx, left, right, n)]."""
     import ray
 
@@ -108,9 +98,7 @@ def train_bpe(docs_ds, n_merges: int = 8, text_col: str = "text",
         merges_ref = ray.put(list(merges))
 
         def pair_counts(t: pa.Table, _ref=merges_ref) -> pa.Table:
-            return _pair_rows(
-                t.column(text_col).to_pylist(), fetch(_ref), n_parts
-            )
+            return _pair_rows(t.column(text_col).to_pylist(), fetch(_ref))
 
         def top1(group: pa.Table) -> pa.Table:
             p = group.column("pair").to_numpy(zero_copy_only=False)
@@ -126,12 +114,8 @@ def train_bpe(docs_ds, n_merges: int = 8, text_col: str = "text",
                 }
             )
 
-        cand = (
-            docs_ds.map_batches(pair_counts, batch_format="pyarrow")
-            .groupby("_part")
-            .map_groups(top1, batch_format="pyarrow")
-            .to_pandas()  # <= n_parts rows
-        )
+        cand = exchange(docs_ds.map_batches(pair_counts, batch_format="pyarrow"),
+                        "pair", top1).to_pandas()  # <= one row per partition
         if not len(cand):
             break
         cand = cand.sort_values(["n", "pair"], ascending=[False, True],

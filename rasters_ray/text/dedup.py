@@ -1,14 +1,18 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard.
 
 Ray Data shapes (the guide's canonical patterns):
-- exact: add content_key (md5) per batch -> hash-partitioned vectorized
-  reduce (analysis.exact_dedup_groups) -> keeper = min(doc_id), n_dupes;
+- exact: add content_key (md5) per batch -> one exchange on the key and
+  a vectorized reduce (analysis.exact_dedup_groups) -> keeper =
+  min(doc_id), n_dupes;
 - MinHash-LSH: shingle -> minhash signature per batch (vectorized numpy)
-  -> explode to (band_id, band_hash, doc_id) rows -> hash-partitioned
-  bucket-pair generation (one Ray group per PARTITION, vectorized
-  boundary scan inside) -> single-round distributed text join (pair side
-  rows + docs, one union + groupby) -> regroup by pair -> exact Jaccard
-  verify with a per-partition shingle cache;
+  -> explode to (band_id, band_hash, doc_id) rows -> one exchange on the
+  bucket and bucket-pair generation (one kernel call per PARTITION,
+  vectorized boundary scan inside) -> single-round distributed text join
+  (pair side rows + docs, one exchange of their union on the doc id) ->
+  exchange by pair -> exact Jaccard verify with a per-partition shingle
+  cache;
+
+Every shuffle here is ``util.exchange``.
 - SimHash: 64-bit signature per doc; near-dups = equal signatures on
   rotated bands (Charikar 2002 / Manku et al. 2007, public algorithms);
 - n-gram Jaccard: the verification kernel, exposed standalone.
@@ -28,6 +32,8 @@ from typing import List, Set, Tuple
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from rasters_ray.util import exchange
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -184,7 +190,6 @@ class MinHashStage:
 
 
 HOT_BUCKET_CAP = 64  # all-pairs only below this; star pairs above
-N_BUCKET_PARTS = 64  # hash partitions for bucket-pair generation
 
 
 def bucket_partition_pairs(group: pa.Table, cap: int = HOT_BUCKET_CAP) -> pa.Table:
@@ -245,13 +250,6 @@ def candidate_pairs_from_buckets(group: pa.Table, cap: int = HOT_BUCKET_CAP) -> 
     return pa.table({"a": pa.array(np.full(n - 1, ids[0])), "b": pa.array(arr)})
 
 
-def _id_parts(values, n_parts: int) -> np.ndarray:
-    """Hash partition of an id array (shared repo-wide helper)."""
-    from rasters_ray.util import hash_parts
-
-    return hash_parts(values, n_parts)
-
-
 def minhash_near_dups(
     docs_ds,
     threshold: float = 0.8,
@@ -264,16 +262,16 @@ def minhash_near_dups(
 ):
     """Full MinHash-LSH pipeline -> Dataset[(a, b, jaccard)] verified pairs.
 
-    Scale shape — exactly THREE all-to-alls end to end:
+    Scale shape — exactly THREE exchanges end to end:
     shingle->signature->band rows (vectorized task stage) ->
-    groupby(band-hash partition) candidate pairs (hot buckets emit star
-    pairs, see ``candidate_pairs_from_buckets``) -> ONE union +
-    groupby(hash(doc_id)) round that both DEDUPS duplicate candidate
+    exchange on the bucket -> candidate pairs (hot buckets emit star
+    pairs, see ``candidate_pairs_from_buckets``) -> ONE exchange of the
+    union on the doc id that both DEDUPS duplicate candidate
     pairs (all copies of a (pair, side) row share the key, see
     ``attach_part``) and stamps each pair side row with its text
     (non-candidate docs drop inside the kernel — the semi-filter is
     implicit and fully distributed; every text crosses the wire exactly
-    once) -> regroup by hash(pair) -> exact-jaccard verify with a
+    once) -> exchange on the pair -> exact-jaccard verify with a
     per-partition shingle cache (each distinct doc is shingled once per
     partition, not once per pair occurrence). NOTHING touches the
     driver: no iter_batches, no materialize, no broadcast id set."""
@@ -287,17 +285,7 @@ def minhash_near_dups(
         batch_format="pyarrow",
         **({"concurrency": concurrency} if concurrency else {}),
     )
-    def tag_part(t: pa.Table) -> pa.Table:
-        bh = t.column("band_hash").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_part", pa.array(bh % N_BUCKET_PARTS, pa.int64())
-        )
-
-    pairs = (
-        bands_ds.map_batches(tag_part, batch_format="pyarrow")
-        .groupby("_part")  # one Ray group per PARTITION, not per bucket
-        .map_groups(bucket_partition_pairs, batch_format="pyarrow")
-    )
+    pairs = exchange(bands_ds, ["band_id", "band_hash"], bucket_partition_pairs)
     return exact_verify_pairs(
         pairs,
         docs_ds,
@@ -316,13 +304,12 @@ def exact_verify_pairs(
     text_col: str = "text",
     threshold: float = 0.8,
     set_fn=None,
-    n_join_parts: int = 32,
 ):
     """Distributed exact verification of a candidate-pair Dataset[(a, b)]
-    against the corpus: ONE union + groupby(hash(doc_id)) round that both
+    against the corpus: ONE exchange of the union on the doc id that both
     dedups duplicate candidate pairs and stamps each pair side with its
     text (implicit, fully distributed semi-filter — every text crosses
-    the wire exactly once), then a regroup by hash(pair) computing exact
+    the wire exactly once), then an exchange on the pair computing exact
     Jaccard over ``set_fn(text)`` with a per-partition set cache.  Shared
     by the MinHash (char-shingle sets) and prefix-filter (word-token
     sets) near-dup paths — they differ only in candidate generation.
@@ -336,7 +323,7 @@ def exact_verify_pairs(
     if id_type is None:
         id_type = pa.int64()
 
-    union_cols = ["a", "b", "side", "__key", "__text", "_kp"]
+    union_cols = ["a", "b", "side", "__key", "__text"]
 
     def explode_sides(t: pa.Table) -> pa.Table:
         """Each pair -> two keyed side rows (side 0 keyed by a, side 1 by
@@ -354,7 +341,6 @@ def exact_verify_pairs(
                 ),
                 "__key": key,
                 "__text": pa.nulls(2 * n, pa.string()),
-                "_kp": pa.array(_id_parts(key, n_join_parts), pa.int64()),
             }
         )
         return out.select(union_cols)
@@ -368,12 +354,11 @@ def exact_verify_pairs(
                 "side": pa.nulls(t.num_rows, pa.int8()),
                 "__key": key,
                 "__text": t.column(text_col).cast(pa.string()),
-                "_kp": pa.array(_id_parts(key, n_join_parts), pa.int64()),
             }
         ).select(union_cols)
 
     def attach_part(group: pa.Table) -> pa.Table:
-        """One hash partition of the union: doc rows (side null) feed an
+        """One exchange partition of the union: doc rows (side null) feed an
         id->text dict; pair-side rows pick their text from it. Docs that
         appear in no candidate pair drop here — the semi-filter is
         implicit, distributed, and costs nothing extra.
@@ -411,26 +396,13 @@ def exact_verify_pairs(
             }
         )
 
-    attached = (
-        pairs.map_batches(explode_sides, batch_format="pyarrow")
-        .union(
-            docs_ds.select_columns([id_col, text_col]).map_batches(
-                tag_docs, batch_format="pyarrow"
-            )
-        )
-        .groupby("_kp")
-        .map_groups(attach_part, batch_format="pyarrow")
+    union = pairs.map_batches(explode_sides, batch_format="pyarrow").union(
+        docs_ds.select_columns([id_col, text_col]).map_batches(tag_docs, batch_format="pyarrow")
     )
-
-    def tag_pair_part(t: pa.Table) -> pa.Table:
-        big = 1 << 20
-        ha = _id_parts(t.column("a"), big)
-        hb = _id_parts(t.column("b"), big)
-        pp = ((ha * np.int64(1000003)) + hb) % n_join_parts
-        return t.append_column("_pp", pa.array(pp, pa.int64()))
+    attached = exchange(union, "__key", attach_part)
 
     def verify_part(group: pa.Table) -> pa.Table:
-        """One hash partition of pairs: regroup side rows by (a, b) and
+        """One exchange partition of pairs: regroup side rows by (a, b) and
         exact-verify. Shingles are cached per DISTINCT doc id for the
         whole partition — a doc in m candidate pairs is shingled once,
         not m times."""
@@ -478,11 +450,7 @@ def exact_verify_pairs(
             }
         )
 
-    return (
-        attached.map_batches(tag_pair_part, batch_format="pyarrow")
-        .groupby("_pp")
-        .map_groups(verify_part, batch_format="pyarrow")
-    )
+    return exchange(attached, ["a", "b"], verify_part)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +535,9 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, id_col: str = "doc_id",
 
     Distributed shape mirrors the LSH pipeline: explode DISTINCT
     (doc_id, gram_hash) rows per batch -> set sizes via groupby(doc) ->
-    co-occurrence pairs via groupby(gram) (docs per gram bounded by the
-    filtered set) -> pair intersection counts via groupby(a, b). Only the
+    co-occurrence pairs via an exchange on the gram (docs per gram
+    bounded by the filtered set) -> pair intersection counts via
+    groupby(a, b). Only the
     O(pairs) result reaches the driver; the n^2/2 all-pairs matrix
     (including zero-intersection pairs — the documented semantics)
     assembles VECTORIZED via triu indices + a searchsorted scatter.
@@ -599,13 +568,9 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, id_col: str = "doc_id",
     grams = docs_ds.map_batches(explode, batch_format="pyarrow")
     sizes = grams.groupby("doc_id").aggregate(Count(alias_name="c")).to_pandas()
 
-    def tag_part(t: pa.Table) -> pa.Table:
-        g = t.column("gram").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(g % N_BUCKET_PARTS, pa.int64()))
-
     def co_pairs(group: pa.Table) -> pa.Table:
-        # all grams of one hash partition in one vectorized boundary scan
-        # (one Ray group per gram would be one per distinct n-gram)
+        # all grams of one exchange partition in one vectorized boundary
+        # scan (one Ray group per gram would be one per distinct n-gram)
         g = group.column("gram").to_numpy(zero_copy_only=False)
         d = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((d, g))
@@ -648,9 +613,7 @@ def ngram_jaccard_pairs(docs_ds, n: int = 3, id_col: str = "doc_id",
             "join, pre-filter the doc set, or use minhash_near_dups"
         )
     inter = (
-        grams.map_batches(tag_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(co_pairs, batch_format="pyarrow")
+        exchange(grams, "gram", co_pairs)
         .groupby(["a", "b"])
         .aggregate(Count(alias_name="i"))
         .to_pandas()
@@ -710,8 +673,8 @@ def hamming_near_dups(
     pigeonhole: a pair within distance d < bands must agree EXACTLY on at
     least one of the ``bands`` bit-slices, so bucketing by each slice
     finds every such pair). Shape: explode (band, slice_value) rows ->
-    groupby bucket -> capped candidate pairs -> distinct -> vectorized
-    popcount verify. Requires max_dist < bands (raises otherwise)."""
+    exchange on the bucket -> capped candidate pairs -> distinct ->
+    vectorized popcount verify. Requires max_dist < bands (raises otherwise)."""
     if max_dist >= bands:
         raise ValueError(f"pigeonhole needs max_dist < bands ({max_dist} >= {bands})")
     if 64 % bands:
@@ -737,20 +700,11 @@ def hamming_near_dups(
             }
         )
 
-    def tag_part(t: pa.Table) -> pa.Table:
-        bv = t.column("band_val").to_numpy(zero_copy_only=False)
-        bi = t.column("band_id").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_part", pa.array(((bv * np.int64(31)) ^ bi) % N_BUCKET_PARTS, pa.int64())
-        )
-
-    exploded = ds.map_batches(explode, batch_format="pyarrow").map_batches(
-        tag_part, batch_format="pyarrow"
-    )
+    exploded = ds.map_batches(explode, batch_format="pyarrow")
 
     def bucket_pairs(group: pa.Table) -> pa.Table:
-        """All buckets of one hash partition, vectorized boundary scan —
-        one Ray group per partition, not per bucket (bucket cardinality is
+        """All buckets of one exchange partition, vectorized boundary scan —
+        one kernel call per partition, not per bucket (bucket cardinality is
         ~one per image at scale). Ids are factorized to int codes once per
         partition (codes sort like the ids, np.unique is id-sorted), so
         bucket pair emission runs on int arrays — the same vectorized form
@@ -813,8 +767,7 @@ def hamming_near_dups(
     from ray.data.aggregate import Min
 
     return (
-        exploded.groupby("_part")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
+        exchange(exploded, ["band_id", "band_val"], bucket_pairs)
         .map_batches(verify, batch_format="pyarrow")
         .groupby(["a", "b"])  # dedup pairs found by several bands
         .aggregate(Min("hamming", alias_name="hamming"))

@@ -23,9 +23,9 @@ Distributed shape:
      documented vocabulary broadcast as text/analysis.py tf-idf);
   3. prefix pass (map_batches, rank order read once per worker from the
      object store) -> (prefix-token rank, doc, size) rows;
-  4. ONE groupby over hashed rank partitions -> vectorized in-bucket
-     pair generation with the length filter;
-  5. exact verify (two grouped rounds shared with minhash_near_dups).
+  4. ONE ``util.exchange`` on the prefix-token rank -> vectorized
+     in-bucket pair generation with the length filter;
+  5. exact verify (two exchanges shared with minhash_near_dups).
 
 Float safety: prefix length uses ``s - floor(t*s) + 1`` — any float
 rounding only LENGTHENS the prefix (extra candidates, never a missed
@@ -39,11 +39,9 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray.text.dedup import exact_verify_pairs
-from rasters_ray.util import fetch, hash_parts
+from rasters_ray.util import exchange, fetch
 
 __all__ = ["set_similarity_join", "word_token_set"]
-
-N_PREFIX_PARTS = 64  # hash partitions for prefix-bucket pair generation
 
 
 def word_token_set(text: str) -> set:
@@ -151,12 +149,6 @@ def set_similarity_join(
 
     prefix = docs_ds.map_batches(prefix_rows, batch_format="pyarrow")
 
-    def tag_part(t: pa.Table) -> pa.Table:
-        r = t.column("rank").to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_part", pa.array(r % np.int64(N_PREFIX_PARTS), pa.int64())
-        )
-
     def bucket_pairs(group: pa.Table) -> pa.Table:
         """All (a < b) doc pairs sharing a prefix token, length-filtered.
         Vectorized per rank run; pairs deduplicate downstream inside
@@ -204,11 +196,7 @@ def set_similarity_join(
             _, first = np.unique(np.stack([aa, bb]), axis=1, return_index=True)
         return pa.table({"a": pa.array(aa[first]), "b": pa.array(bb[first])})
 
-    pairs = (
-        prefix.map_batches(tag_part, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(bucket_pairs, batch_format="pyarrow")
-    )
+    pairs = exchange(prefix, "rank", bucket_pairs)
     return exact_verify_pairs(
         pairs,
         docs_ds,

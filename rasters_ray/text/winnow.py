@@ -20,6 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from rasters_ray.util import exchange
+
 _B = np.uint64(1000003)  # odd multiplier; wrapping mod 2^64
 
 
@@ -105,8 +107,7 @@ def winnow_local(texts, ids, k: int = 8, w: int = 16):
 
 
 def duplicate_spans(docs_ds, k: int = 20, min_docs: int = 2,
-                    id_col: str = "doc_id", text_col: str = "text",
-                    n_parts: int = 64):
+                    id_col: str = "doc_id", text_col: str = "text"):
     """Cross-document duplicated text spans -> Dataset[(doc_id, start,
     end, n_grams)] with [start, end) byte offsets.
 
@@ -118,10 +119,9 @@ def duplicate_spans(docs_ds, k: int = 20, min_docs: int = 2,
 
     Distributed shape (two shuffles, no broadcast, no driver payloads):
 
-      1. per batch: explode (gram hash, doc, pos) rows, tagged with
-         ``hash % n_parts``;
-      2. ``groupby(_part)`` -> ONE vectorized boundary scan per
-         partition (lexsort + reduceat, no per-gram Python) keeps the
+      1. per batch: explode (gram hash, doc, pos) rows;
+      2. ``util.exchange`` on the gram -> ONE vectorized boundary scan
+         per partition (lexsort + reduceat, no per-gram Python) keeps the
          positions of grams whose distinct-doc count >= min_docs;
       3. ``groupby(doc)`` -> vectorized merge of overlapping [p, p+k)
          windows into maximal spans.
@@ -139,16 +139,12 @@ def duplicate_spans(docs_ds, k: int = 20, min_docs: int = 2,
             p_out.append(np.arange(len(h), dtype=np.int64))
         if not ids_out:
             e = np.zeros(0, np.int64)
-            return pa.table({"doc": pa.array(e), "gram": pa.array(e),
-                             "pos": pa.array(e), "_part": pa.array(e)})
-        g = np.concatenate(h_out)
+            return pa.table({"doc": pa.array(e), "gram": pa.array(e), "pos": pa.array(e)})
         return pa.table(
             {
                 "doc": pa.array(np.concatenate(ids_out), pa.int64()),
-                "gram": pa.array(g, pa.int64()),
+                "gram": pa.array(np.concatenate(h_out), pa.int64()),
                 "pos": pa.array(np.concatenate(p_out), pa.int64()),
-                "_part": pa.array((g.view(np.uint64) % np.uint64(n_parts))
-                                  .astype(np.int64), pa.int64()),
             }
         )
 
@@ -158,9 +154,10 @@ def duplicate_spans(docs_ds, k: int = 20, min_docs: int = 2,
         p = group.column("pos").to_numpy(zero_copy_only=False)
         order = np.lexsort((p, d, g))
         gs, ds_, ps = g[order], d[order], p[order]
-        # distinct-doc count per gram run, fully vectorized
-        gstart = np.r_[True, gs[1:] != gs[:-1]]
-        new_doc = gstart | np.r_[True, ds_[1:] != ds_[:-1]]
+        # distinct-doc count per gram run, fully vectorized (an empty
+        # part has no runs)
+        gstart = np.r_[True, gs[1:] != gs[:-1]][: len(gs)]
+        new_doc = gstart | np.r_[True, ds_[1:] != ds_[:-1]][: len(gs)]
         gid = np.cumsum(gstart) - 1
         ndocs = np.zeros(gid[-1] + 1 if len(gid) else 0, np.int64)
         np.add.at(ndocs, gid, new_doc.astype(np.int64))
@@ -192,9 +189,7 @@ def duplicate_spans(docs_ds, k: int = 20, min_docs: int = 2,
         )
 
     return (
-        docs_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(dup_positions, batch_format="pyarrow")
+        exchange(docs_ds.map_batches(explode, batch_format="pyarrow"), "gram", dup_positions)
         .groupby("doc")
         .map_groups(merge_spans, batch_format="pyarrow")
     )

@@ -12,11 +12,8 @@ _FIB_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
 
 def hash_parts(values, n_parts: int) -> np.ndarray:
     """Hash partition (0..n_parts) of an id array (``hash_u64`` mod
-    ``n_parts``).
-
-    Shared by every union+groupby shuffle in the repo (dedup joins,
-    relational joins) so co-partitioning keys across stages is guaranteed
-    to agree."""
+    ``n_parts``), e.g. the checkpointed tiling job's output partition.
+    A shuffle goes through ``exchange`` instead."""
     return (hash_u64(values) % np.uint64(n_parts)).astype(np.int64)
 
 
@@ -59,63 +56,14 @@ def hash_u64(values) -> np.ndarray:
 _FNV_PRIME = np.uint64(1099511628211)
 
 
-def hash_parts_cols(table, cols, n_parts: int) -> np.ndarray:
-    """Hash partition of a COMPOSITE key (several columns) — per-column
-    full-width hashes mixed with an FNV-style fold, so multi-key joins
-    co-partition consistently on both sides."""
+def hash_cols(table, cols) -> np.ndarray:
+    """Full-width u64 hash of a COMPOSITE key (several columns): the
+    per-column ``hash_u64`` values folded FNV-style, so equal keys hash
+    equally on both sides of a join whatever their column names."""
     h = np.zeros(table.num_rows, dtype=np.uint64)
     for c in cols:
         h = h * _FNV_PRIME ^ hash_u64(table.column(c))
-    return (h % np.uint64(n_parts)).astype(np.int64)
-
-
-def _typed_blocks(fn, out_schema):
-    """Whole-block UDF for ``map_batches(batch_size=None)``: an empty
-    block yields ``out_schema.empty_table()``, any other block yields
-    the tables of ``fn(block)``, so every block of the stage stays
-    typed.  (Ray 2.49 never hands a map UDF an empty block — it emits a
-    zero-column one instead — so the guard fires on blocks that the
-    caller empties itself, such as an exchange part of pads alone.)"""
-
-    def apply_block(block):
-        if block.num_rows == 0:
-            yield out_schema.empty_table()
-            return
-        yield from fn(block)
-
-    return apply_block
-
-
-def map_groups_typed(ds, keys, fn, out_schema):
-    """``ds.groupby(keys).map_groups(fn)`` with SCHEMA-TYPED empty outputs.
-
-    Runs the IDENTICAL plan Ray would (sort by keys, then a whole-block
-    map that applies ``fn`` per group; equal keys are co-located because
-    the sort range-partitions by key value), but empty partitions yield
-    ``out_schema.empty_table()`` (``_typed_blocks``)."""
-    keys_l = [keys] if isinstance(keys, str) else list(keys)
-
-    def per_group(block):
-        n = block.num_rows
-        change = np.zeros(n, dtype=bool)
-        change[0] = True
-        for k in keys_l:
-            col = block.column(k)
-            try:
-                v = col.to_numpy(zero_copy_only=False)
-                change[1:] |= v[1:] != v[:-1]
-            except Exception:  # non-numpy-convertible key types
-                import pyarrow.compute as pc
-
-                neq = pc.not_equal(col.slice(1), col.slice(0, n - 1))
-                change[1:] |= neq.to_numpy(zero_copy_only=False).astype(bool)
-        bounds = np.append(np.flatnonzero(change), n)
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            yield fn(block.slice(int(s), int(e - s)))
-
-    return ds.sort(keys_l).map_batches(
-        _typed_blocks(per_group, out_schema), batch_size=None, batch_format="pyarrow"
-    )
+    return h
 
 
 def cluster_cpus() -> int:
@@ -131,9 +79,10 @@ def cluster_cpus() -> int:
 GATHER_ROWS = 1 << 62
 
 
-def exchange(ds, keys, fn, out_schema):
-    """One hash exchange: ``fn(part)`` runs once per partition and sees
-    every row of each key in that partition, in no particular order.
+def exchange(ds, keys, fn):
+    """The engine's one hash shuffle: ``fn(part)`` runs once per
+    partition and sees every row of each key in that partition, in no
+    particular order, with the input's columns.
 
     The part count ``n`` is the cluster's CPU count, read when the
     dataset is built.  Two plans:
@@ -146,35 +95,40 @@ def exchange(ds, keys, fn, out_schema):
       ``concurrency=1`` task pool keeps Ray from fusing it into the
       upstream map, so upstream stages still stream, one task per
       batch, instead of one task holding every input;
-    - ``n > 1``: each row is tagged with ``hash_parts_cols(keys, n)``
-      and sorted on the tag with the known boundaries ``1 .. n-1``, so
-      Ray skips its sampling pass and returns exactly ``n`` blocks.
-      Every tagging task also appends one all-null PAD row per part, so
-      no partition reaches the final map empty: Ray skips its UDF on an
-      empty block and emits a zero-column one instead.  The pads are
-      dropped before ``fn``, and a partition of pads alone yields
-      ``out_schema.empty_table()`` (``_typed_blocks``).
+    - ``n > 1``: each row is tagged with the hash of its key columns
+      (``hash_cols``) mod ``n`` and sorted on the tag with the known
+      boundaries ``1 .. n-1``, so Ray skips its sampling pass and
+      returns exactly ``n`` blocks.  Every tagging task also appends
+      one all-null PAD row per part, so no partition reaches the final
+      map empty: Ray skips its UDF on an empty block and emits a
+      zero-column one instead.  The pads are dropped before ``fn``.
 
-    ``fn`` must return a table of ``out_schema``."""
+    So a partition of pads alone calls ``fn`` on a ZERO-ROW table that
+    keeps the input's schema (the pads carry it), and ``fn`` returns
+    its own typed empty result: no caller names its output schema up
+    front.  An input of empty blocks alone calls no ``fn`` under either
+    plan, and yields no rows."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     keys_l = [keys] if isinstance(keys, str) else list(keys)
     n = cluster_cpus()
-    apply = _typed_blocks(lambda part: [fn(part)], out_schema)
     if n == 1:
-        return ds.map_batches(apply, batch_size=GATHER_ROWS, concurrency=1, zero_copy_batch=True,
-                              batch_format="pyarrow")
+        def apply_block(block: pa.Table) -> pa.Table:  # one operator name for every caller
+            return fn(block)
+
+        return ds.map_batches(apply_block, batch_size=GATHER_ROWS, concurrency=1,
+                              zero_copy_batch=True, batch_format="pyarrow")
 
     def tag(t: pa.Table) -> pa.Table:
         pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)
-        part = np.concatenate([hash_parts_cols(t, keys_l, n), np.arange(n)])
+        part = np.concatenate([hash_cols(t, keys_l) % np.uint64(n), np.arange(n, dtype=np.uint64)])
         pad = np.arange(t.num_rows + n) >= t.num_rows
-        return (pa.concat_tables([t, pads]).append_column("_part", pa.array(part, pa.int64()))
+        return (pa.concat_tables([t, pads]).append_column("_part", pa.array(part.astype(np.int64)))
                 .append_column("_pad", pa.array(pad, pa.bool_())))
 
-    def run(part: pa.Table):
-        yield from apply(part.filter(pc.invert(part.column("_pad"))).drop_columns(["_part", "_pad"]))
+    def run(part: pa.Table) -> pa.Table:
+        return fn(part.filter(pc.invert(part.column("_pad"))).drop_columns(["_part", "_pad"]))
 
     return (
         ds.map_batches(tag, batch_format="pyarrow")

@@ -324,7 +324,7 @@ def test_zone_map_pruning(ray_session, tmp_path):
     from rasters_ray.checkpoint import (
         prune_partitions,
         read_pruned,
-        run_partitioned_with_stats,
+        run_partitioned,
     )
 
     root = str(tmp_path / "zoned")
@@ -341,7 +341,7 @@ def test_zone_map_pruning(ray_session, tmp_path):
         return len(v), {"x": [float(v.min()), float(v.max())]}
 
     parts = [{"partition_id": f"p_{i:02d}"} for i in range(8)]
-    rows = run_partitioned_with_stats(root, parts, run_one)
+    rows = run_partitioned(root, parts, run_one)
     assert all("stats" in r for r in rows)
 
     lo, hi = 30.0, 45.0
@@ -357,5 +357,5 @@ def test_zone_map_pruning(ray_session, tmp_path):
         assert (pid in kept) == overlaps
 
     # resume keeps the stats row intact
-    rows2 = run_partitioned_with_stats(root, parts, run_one)
+    rows2 = run_partitioned(root, parts, run_one)
     assert all("stats" in r for r in rows2)

@@ -8,7 +8,11 @@ which computes every case once and records the operators two of them
 executed (``one_cpu_results``).  Both plans must equal the same
 single-process reference.  The checkpointed tiling job runs no exchange
 but sizes its tile bundles by the same CPU count, so it runs in both
-sessions too."""
+sessions too.
+
+``exchange`` itself is checked by a property test against a pyarrow
+``group_by`` reference, and the relational, text and temporal operators
+built on it must give the same rows under both plans."""
 
 import hashlib
 import json
@@ -20,6 +24,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rasters_ray import codec
 from rasters_ray.sources import make_oracle_images, oracle_grid_origin
@@ -101,10 +107,14 @@ def anti_join_reference(images: pa.Table, points: pa.Table) -> list:
     return _rows(pa.concat_tables([matched, misses]))
 
 
-def _table(ds) -> pa.Table:
+def _blocks(ds) -> list:
     import ray
 
-    return pa.concat_tables(ray.get(ds.materialize().to_arrow_refs()))
+    return ray.get(ds.materialize().to_arrow_refs())
+
+
+def _table(ds) -> pa.Table:
+    return pa.concat_tables(_blocks(ds))
 
 
 def _operators(summary) -> list:
@@ -284,6 +294,222 @@ def flagship_reference() -> dict:
             "rows": np.bincount(parts, minlength=FLAGSHIP_PARTS).tolist()}
 
 
+# -- util.exchange against a pyarrow group_by reference -----------------
+
+KEY_KINDS = ["int64", "string", "numeric_string", "dictionary", "null", "two_columns"]
+
+
+def _key_columns(kind: str, codes: list) -> dict:
+    """The key columns of ``kind`` for small integer ``codes``: equal
+    codes make equal keys, so keys repeat within and across blocks."""
+    c = np.asarray(codes, dtype=np.int64)
+    if kind == "int64":
+        return {"k": pa.array(c * 7 - 10, pa.int64())}
+    if kind == "string":
+        return {"k": pa.array([f"k{v}" for v in codes], pa.string())}
+    if kind == "numeric_string":
+        # codes below 4 look numeric, so a block may hold only those
+        return {"k": pa.array([str(v) if v < 4 else f"x{v}" for v in codes], pa.string())}
+    if kind == "dictionary":
+        return {"k": pa.array([f"k{v}" for v in codes], pa.string()).dictionary_encode()}
+    if kind == "null":
+        return {"k": pa.array([None if v == 5 else v for v in codes], pa.int64())}
+    return {"k": pa.array(c % 3, pa.int64()),
+            "k2": pa.array([f"s{v // 3}" for v in codes], pa.string())}
+
+
+def _exchange_keys(kind: str) -> list:
+    return ["k", "k2"] if kind == "two_columns" else ["k"]
+
+
+def exchange_blocks(kind: str, block_codes: list) -> list:
+    """One input block per entry of ``block_codes`` (empty ones too):
+    its key columns and a never-null row id ``rid``."""
+    blocks, rid = [], 0
+    for codes in block_codes:
+        cols = _key_columns(kind, codes)
+        cols["rid"] = pa.array(np.arange(rid, rid + len(codes)), pa.int64())
+        blocks.append(pa.table(cols))
+        rid += len(codes)
+    return blocks
+
+
+def _group_rows(t: pa.Table, keys: list) -> list:
+    """(keys..., rows, sum of rid) per key of ``t``, sorted; dictionary
+    keys compare as their values."""
+    t = t.select(keys + ["rid"])
+    t = t.cast(pa.schema([pa.field(f.name, f.type.value_type)
+                          if pa.types.is_dictionary(f.type) else f for f in t.schema]))
+    g = t.group_by(keys).aggregate([("rid", "count"), ("rid", "sum")])
+    return _sort_rows([list(r) for r in zip(*[g.column(c).to_pylist()
+                                              for c in keys + ["rid_count", "rid_sum"]])])
+
+
+def _sort_rows(rows: list) -> list:
+    return sorted(rows, key=lambda r: [(v is None, str(v)) for v in r])
+
+
+def run_exchange_case(kind: str, block_codes: list) -> dict:
+    """One ``exchange`` whose ``fn`` returns one row per call: the rows
+    it saw, the pad rows among them (null ``rid``), whether it saw the
+    input schema, and its other rows as Arrow IPC bytes.  Returns the
+    call counts and the per-key summary of every call's rows."""
+    import ray.data as rd
+
+    from rasters_ray.util import exchange
+
+    blocks = exchange_blocks(kind, block_codes)
+    schema, keys = blocks[0].schema, _exchange_keys(kind)
+
+    def summarize(part: pa.Table) -> pa.Table:  # nested: workers unpickle it by value
+        real = part.filter(pc.is_valid(part.column("rid")))
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, real.schema) as writer:
+            writer.write_table(real)
+        return pa.table({
+            "rows": pa.array([part.num_rows], pa.int64()),
+            "pads": pa.array([part.num_rows - real.num_rows], pa.int64()),
+            "typed": pa.array([part.schema == schema]),
+            "real": pa.array([sink.getvalue().to_pybytes()], pa.binary()),
+        })
+
+    out = [b for b in _blocks(exchange(rd.from_arrow(blocks), keys, summarize)) if b.num_rows]
+    calls = pa.concat_tables(out).to_pydict() if out else {"rows": [], "pads": [], "typed": [], "real": []}
+    groups = [r for ipc in calls["real"]
+              for r in _group_rows(pa.ipc.open_stream(ipc).read_all(), keys)]
+    return {"calls": len(calls["rows"]), "rows": sum(calls["rows"]), "pads": sum(calls["pads"]),
+            "typed": all(calls["typed"]), "groups": _sort_rows(groups)}
+
+
+def check_exchange_case(kind: str, block_codes: list, got: dict, n_parts: int):
+    """Every key's rows reach ``fn`` together (one summary row per key,
+    equal to the reference), no pad row reaches it, and each of the
+    ``n_parts`` partitions calls it once with the input schema, a
+    partition of pads alone with zero rows."""
+    blocks = exchange_blocks(kind, block_codes)
+    total = sum(len(c) for c in block_codes)
+    assert got["groups"] == _group_rows(pa.concat_tables(blocks), _exchange_keys(kind))
+    assert got["pads"] == 0
+    assert got["typed"]
+    assert got["rows"] == total
+    # Ray calls no map UDF on an empty block, so an input of empty
+    # blocks alone makes no call at all
+    assert got["calls"] == (n_parts if total else 0)
+
+
+# Keys repeat within and across blocks; "2" and "3" appear in an
+# all-numeric block and in a mixed one, so a value-dependent hash
+# splits them.  One row over several parts leaves pad-only parts.
+@settings(max_examples=12, deadline=None, derandomize=True)
+@example(kind="numeric_string", block_codes=[[0, 1, 2, 3], [0, 1, 2, 3, 4], []])
+@example(kind="int64", block_codes=[[3]])
+@example(kind="two_columns", block_codes=[[], [0, 5, 4], [], [3, 3]])
+@example(kind="dictionary", block_codes=[[], []])
+@given(kind=st.sampled_from(KEY_KINDS),
+       block_codes=st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=5))
+def test_exchange_matches_group_by_reference(ray_session, kind, block_codes):
+    from rasters_ray.util import cluster_cpus
+
+    check_exchange_case(kind, block_codes, run_exchange_case(kind, block_codes), cluster_cpus())
+
+
+def exchange_property_result() -> str:
+    """"ok", or how the property test failed in this session."""
+    try:
+        test_exchange_matches_group_by_reference(None)
+    except Exception as exc:  # reported back to the session's test
+        return f"{type(exc).__name__}: {exc}"[:4000]
+    return "ok"
+
+
+# -- the operators built on exchange, under both plans -------------------
+
+OPERATORS = ["hash_join_inner", "hash_join_anti", "hash_join_post", "asof_join",
+             "topk_per_group", "distinct_count", "connected_components", "set_op",
+             "exact_dedup_groups", "stack_median_histogram"]
+
+
+def _rel_ds(table: pa.Table, n_blocks: int):
+    import ray.data as rd
+
+    step = -(-table.num_rows // n_blocks)
+    return rd.from_arrow([table.slice(i, step) for i in range(0, table.num_rows, step)])
+
+
+def _join_sides():
+    k = np.arange(40, dtype=np.int64)
+    left = pa.table({"k": pa.array(k % 13), "g": pa.array([f"g{v}" for v in k % 3]),
+                     "v": pa.array(k * 3)})
+    right = pa.table({"rk": pa.array(np.arange(0, 20, 2, dtype=np.int64)),
+                      "w": pa.array(np.arange(10, dtype=np.int64) * 100)})
+    return _rel_ds(left, 3), _rel_ds(right, 2)
+
+
+def operator_ds(name: str):
+    """One operator over small in-memory tables."""
+    from rasters_ray.relational import (
+        asof_join,
+        connected_components,
+        distinct_count,
+        grouped_int_sums,
+        hash_join,
+        int_sum_partial,
+        topk_per_group,
+    )
+    from rasters_ray.relational.setops import set_op
+    from rasters_ray.stages.temporal import stack_median_histogram
+    from rasters_ray.text import exact_dedup_groups
+
+    if name.startswith("hash_join"):
+        left, right = _join_sides()
+        if name == "hash_join_anti":
+            return hash_join(left, right, on="k", right_on="rk", how="left anti")
+        if name == "hash_join_inner":
+            return hash_join(left, right, on="k", right_on="rk")
+
+        def partial(t: pa.Table) -> pa.Table:
+            return int_sum_partial(t, ["g"], lambda b: {"w": b.column("w").to_numpy()})
+
+        joined = hash_join(left, right, on="k", right_on="rk", post=partial)
+        return grouped_int_sums(joined, ["g"], None, partials_ready=True)
+    if name == "asof_join":
+        ts = np.arange(30, dtype=np.int64)
+        left = pa.table({"u": pa.array(ts % 4), "t": pa.array(ts * 5)})
+        right = pa.table({"u": pa.array(ts % 3), "t": pa.array(ts * 7 - 4), "x": pa.array(ts)})
+        return asof_join(_rel_ds(left, 2), _rel_ds(right, 3), by="u", on="t")
+    if name in ("topk_per_group", "distinct_count"):
+        i = np.arange(60, dtype=np.int64)
+        t = pa.table({"g": pa.array([f"g{v}" for v in i % 7]), "v": pa.array((i * 37) % 11),
+                      "id": pa.array(i)})
+        if name == "distinct_count":
+            return distinct_count(_rel_ds(t, 3), "g", "v")
+        return topk_per_group(_rel_ds(t, 3), "g", "v", k=2, carry_cols=["id"], tie_col="id")
+    if name == "connected_components":
+        u = np.array([1, 2, 3, 10, 11, 20, 21, 22, 23, 30], dtype=np.int64)
+        v = np.array([2, 3, 1, 11, 12, 21, 22, 23, 20, 30], dtype=np.int64)
+        return connected_components(_rel_ds(pa.table({"u": u, "v": v}), 2))
+    if name == "set_op":
+        a = pa.table({"k": pa.array([f"{v}" for v in range(12)] + ["x", None])})
+        b = pa.table({"k": pa.array([f"{v}" for v in range(6, 20)])})
+        return set_op(_rel_ds(a, 2), _rel_ds(b, 3), "k", "except")
+    if name == "exact_dedup_groups":
+        texts = ["aaa", "bbb", "aaa", "ccc", "bbb", "aaa", "ddd", "eee"]
+        docs = pa.table({"doc_id": pa.array(np.arange(10, 18, dtype=np.int64)),
+                         "text": pa.array(texts)})
+        return exact_dedup_groups(_rel_ds(docs, 3))
+    imgs = make_oracle_images(np.arange(8))
+    return stack_median_histogram(
+        _rel_ds(imgs, 3), lambda image_id: (int(image_id[3:]) % 2, int(image_id[3:]) // 2), tile=32)
+
+
+def run_operator(name: str) -> str:
+    """Row-order-free digest of one operator's output.  A per-key Ray
+    ``groupby`` final (``grouped_int_sums``) emits a zero-column block
+    for each empty partition; those are dropped, typed ones are kept."""
+    t = pa.concat_tables([b for b in _blocks(operator_ds(name)) if b.num_columns])
+    return _digest(t.sort_by([(c, "ascending") for c in t.column_names]))
+
+
 _ONE_CPU = """
 import json, sys, tempfile
 import ray, ray.data as rd
@@ -296,7 +522,9 @@ out = {"anti_join": {c: t.run_anti_join(c) for c in t.ANTI_JOIN_CASES},
        "composite": {c: t.run_composite(c) for c in t.COMPOSITES},
        "plan": {"anti_join": t.executed_operators(t.anti_join_ds("split_blocks")),
                 "lattice": t.executed_operators(t.lattice_ds("merge_mean"))},
-       "empty_crosstab": t.run_empty_crosstab()}
+       "empty_crosstab": t.run_empty_crosstab(),
+       "operators": {name: t.run_operator(name) for name in t.OPERATORS},
+       "exchange_property": t.exchange_property_result()}
 with tempfile.TemporaryDirectory() as root:
     out["flagship"] = t.run_flagship(root)
 print(json.dumps(out))
@@ -393,13 +621,24 @@ def test_n_part_exchange_with_more_parts_than_rows_yields_typed_blocks(ray_sessi
 
     n = int(ray.cluster_resources()["CPU"])
     assert n > 2
-    ds = exchange(rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())})), "k", count, schema)
+    ds = exchange(rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())})), "k", count)
     blocks = ray.get(ds.materialize().to_arrow_refs())
     assert len(blocks) == n
     assert all(b.schema == schema for b in blocks)
     assert sum(b.num_rows for b in blocks) == 2
     # the pad rows that keep every partition non-empty never reach ``fn``
     assert all(set(b.column("n").to_pylist()) <= {b.num_rows} for b in blocks)
+
+
+def test_exchange_matches_group_by_reference_under_one_part_plan(one_cpu_results):
+    assert one_cpu_results["exchange_property"] == "ok"
+
+
+@pytest.mark.parametrize("name", OPERATORS)
+def test_operators_agree_across_plans(ray_session, one_cpu_results, name):
+    got = run_operator(name)
+    assert int(got.split(":")[0]) > 0
+    assert got == one_cpu_results["operators"][name]
 
 
 @pytest.fixture(scope="module")

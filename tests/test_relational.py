@@ -106,7 +106,7 @@ def test_asof_join_brute_force(ray_session, tolerance):
     got = (
         asof_join(
             _ds(left), _ds(right, 3), by="k", on="t", value_cols=["v"],
-            tolerance=tolerance, n_parts=8,
+            tolerance=tolerance,
         )
         .to_pandas()
         .sort_values("id")
@@ -187,7 +187,7 @@ def test_topk_per_group_partition_invariant(ray_session):
     for blocks in (1, 7):
         got = (
             topk_per_group(_ds(t, blocks), "g", "v", k=3, carry_cols=["id"],
-                           tie_col="id", n_parts=8)
+                           tie_col="id")
             .to_pandas()
             .sort_values(["g", "rank"])
             .reset_index(drop=True)
@@ -251,7 +251,7 @@ def test_hash_join_string_keys(ray_session):
     )
     right = pa.table({"k": pa.array(["a", "c", "d"]), "w": pa.array([10, 30, 40])})
     got = (
-        hash_join(_ds(left, 2), _ds(right, 2), on="k", n_parts=4)
+        hash_join(_ds(left, 2), _ds(right, 2), on="k")
         .to_pandas()
         .sort_values(["k", "v"])
         .reset_index(drop=True)
@@ -393,7 +393,7 @@ def test_hash_join_composite_key(ray_session):
         }
     )
     got = (
-        hash_join(_ds(left, 3), _ds(right, 2), on=["a", "b"], n_parts=8)
+        hash_join(_ds(left, 3), _ds(right, 2), on=["a", "b"])
         .to_pandas()
         .sort_values(["a", "b", "v", "w"])
         .reset_index(drop=True)

@@ -330,7 +330,7 @@ def test_exact_dedup_groups(ray_session):
             }
         )
     ).repartition(3)
-    out = exact_dedup_groups(docs, n_parts=4).to_pandas().set_index("keeper_doc_id")
+    out = exact_dedup_groups(docs).to_pandas().set_index("keeper_doc_id")
     assert out.loc[10, "n_dupes"] == 3  # aaa: 10, 12, 15
     assert out.loc[11, "n_dupes"] == 2  # bbb: 11, 14
     assert out.loc[13, "n_dupes"] == 1
