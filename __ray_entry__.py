@@ -4460,7 +4460,7 @@ def q_curation(sf_dir: str):
     import pyarrow.compute as pc
 
     from rasters_ray.text import content_key_md5, hash_bucket, quality_score
-    from rasters_ray.util import exchange
+    from rasters_ray.util import exchange, run_starts
 
     def prep(t: pa.Table) -> pa.Table:
         s = pc.utf8_lower(t.column("text"))
@@ -4493,7 +4493,7 @@ def q_curation(sf_dir: str):
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, keys))
         ks = keys[order]
-        first = order[np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]][: len(ks)])]
+        first = order[run_starts(ks)]
         kept = group.take(pa.array(np.sort(first), pa.int64()))
         # quality gate + per-split partial (combiner before the reduce)
         qv = kept.column("quality").to_numpy(zero_copy_only=False)

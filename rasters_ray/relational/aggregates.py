@@ -25,7 +25,7 @@ from collections.abc import Callable
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import exchange
+from rasters_ray.util import exchange, run_starts
 
 
 def _group_codes(t: pa.Table, keys: list[str]):
@@ -202,7 +202,7 @@ def grouped_quantiles(
         ug, ginv = np.unique(g, return_inverse=True)
         order = np.lexsort((v, ginv))
         gs = ginv[order]
-        starts = _run_starts(gs)
+        starts = run_starts(gs)
         ns = np.diff(np.r_[starts, len(gs)])
         # ranks: ceil(q * n) per (group, q) — vectorized gather
         ranks = np.ceil(qarr[None, :] * ns[:, None]).astype(np.int64)  # (G, Q)
@@ -221,12 +221,6 @@ def grouped_quantiles(
 
     sel = ds.map_batches(lambda t: t.select([group_col, value_col]), batch_format="pyarrow")
     return exchange(sel, group_col, kernel)
-
-
-def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
-    """Start index of each run of equal values in ``sorted_codes``; none
-    for an empty array (an exchange calls its kernel on empty parts)."""
-    return np.flatnonzero(np.r_[True, np.diff(sorted_codes) > 0][: len(sorted_codes)])
 
 
 def _int_values(group_col: str, values_fn):
@@ -256,7 +250,7 @@ def grouped_mad(ds, group_col: str, values_fn):
         ug, ginv = np.unique(g, return_inverse=True)
         order = np.lexsort((v, ginv))
         gs, vs = ginv[order], v[order]
-        starts = _run_starts(gs)
+        starts = run_starts(gs)
         ns = np.diff(np.r_[starts, len(gs)])
         rank = np.ceil(0.5 * ns).astype(np.int64)  # percentile_disc(0.5)
         med = vs[starts + rank - 1]
@@ -293,7 +287,7 @@ def grouped_gini(ds, group_col: str, values_fn):
         ug, ginv = np.unique(g, return_inverse=True)
         order = np.lexsort((v, ginv))
         gs, vs = ginv[order], v[order]
-        starts = _run_starts(gs)
+        starts = run_starts(gs)
         ns = np.diff(np.r_[starts, len(gs)])
         i_in_group = np.arange(len(vs), dtype=np.int64) - np.repeat(starts, ns) + 1
         s1 = np.add.reduceat(vs, starts)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import exchange
+from rasters_ray.util import exchange, run_starts
 
 __all__ = ["connected_components", "cluster_sizes"]
 
@@ -46,7 +46,7 @@ def _ccf_round(group: pa.Table) -> pa.Table:
     v = group.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((v, k))
     k, v = k[order], v[order]
-    starts = np.flatnonzero(np.concatenate([[True], k[1:] != k[:-1]])[: len(k)])
+    starts = run_starts(k)
     counts = np.diff(np.append(starts, len(k)))
     m = np.minimum.reduceat(v, starts)
     kk = k[starts]
@@ -120,9 +120,10 @@ def connected_components(edges_ds, max_iters: int = 32):
 
 def cluster_sizes(cc_ds):
     """(node, root) -> (node, root, csize) where csize counts the nodes
-    of the component — partial counts per batch, then a hash-partitioned
-    final combine, then a broadcast-free second pass is avoided by
-    joining the (root, csize) table back via the same partitioning."""
+    of the component — partial counts per batch, a per-key Ray
+    ``groupby("root")`` final that sums them, then ``hash_join`` (one
+    ``util.exchange``) brings the (root, csize) table back onto the
+    nodes."""
     from rasters_ray.relational.joins import hash_join
 
     def partial(t: pa.Table) -> pa.Table:

@@ -9,8 +9,12 @@ Scale shapes
   the exchange partitions the union on it, and each partition joins its
   two halves with the Acero hash join (``pyarrow.Table.join``,
   single-threaded per task — Ray owns the parallelism).  Works for every
-  Acero join type (inner / left|right|full outer / semi / anti).  This
-  is the large ⋈ large path; the shuffle moves each row exactly once.
+  Acero join type (inner / left|right|full outer / semi / anti).  The
+  shuffle moves each row exactly once, and one partition task holds
+  1/CPUs of both sides: the whole union in a one-CPU session, where
+  the exchange is a single gather task.  No fixed fan-out bounds a
+  task's memory, so a side too large for one task per CPU needs more
+  CPUs (or ``broadcast_join`` when the other side is small).
 - ``broadcast_join``: zero-shuffle path for a small right side — the
   driver ``ray.put``s the table once, every map task joins its batch
   against the copy ``util.fetch`` deserializes once per worker.
@@ -62,6 +66,9 @@ def _ts_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 def _base_schema(ds) -> pa.Schema:
+    """The schema of one join side.  ``Dataset.schema()`` runs an
+    unexecuted pipeline far enough to see one block, so each operator
+    asks once per side and passes the (left, right) pair down."""
     sch = ds.schema()
     if sch is None:
         raise ValueError(
@@ -69,13 +76,6 @@ def _base_schema(ds) -> pa.Schema:
             "shuffle); joins need a typed schema on both sides"
         )
     return getattr(sch, "base_schema", sch)
-
-
-def _side_schemas(left_ds, right_ds) -> tuple:
-    """The (left, right) schemas of a join's sides.  ``Dataset.schema()``
-    runs an unexecuted pipeline far enough to see one block, so each
-    operator asks once and passes the pair down."""
-    return _base_schema(left_ds), _base_schema(right_ds)
 
 
 def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, schemas):
@@ -86,7 +86,7 @@ def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, schemas):
     key columns; keys may be a single column name or a list, and equal
     keys hash equally on both sides).  The other side's columns ride as
     typed nulls (validity-bitmap only until a partition materializes
-    them).  ``schemas`` is the (left, right) pair of ``_side_schemas``."""
+    them).  ``schemas`` is the (left, right) pair of ``_base_schema``."""
     lkeys = [left_key_col] if isinstance(left_key_col, str) else list(left_key_col)
     rkeys = [right_key_col] if isinstance(right_key_col, str) else list(right_key_col)
     lsch, rsch = schemas
@@ -153,7 +153,7 @@ def hash_join(
 
 def _hash_join(left_ds, right_ds, on, right_on, how, right_suffix, post, schemas=None):
     """``hash_join`` with the sides' (left, right) schemas when known."""
-    schemas = schemas or _side_schemas(left_ds, right_ds)
+    schemas = schemas or (_base_schema(left_ds), _base_schema(right_ds))
     union, lnames, rnames = _union_side_tables(left_ds, right_ds, on, right_on, schemas)
 
     def join_part(part: pa.Table) -> pa.Table:
@@ -284,7 +284,7 @@ def asof_join(
     is a single composite-rank searchsorted (see ``_asof_part``).
     """
     right_on = right_on or on
-    schemas = _side_schemas(left_ds, right_ds)
+    schemas = (_base_schema(left_ds), _base_schema(right_ds))
     if value_cols is None:
         value_cols = [n for n in schemas[1].names if n not in (by, right_on)]
     union, lnames, rnames = _union_side_tables(left_ds, right_ds, by, by, schemas)
@@ -465,6 +465,6 @@ def skew_join(
         left_ds.map_batches(left_cold, batch_format="pyarrow"),
         right_ds.map_batches(right_cold, batch_format="pyarrow"),
         on, right_on, how="inner", right_suffix=right_suffix, post=None,
-        schemas=_side_schemas(left_ds, right_ds),
+        schemas=(_base_schema(left_ds), _base_schema(right_ds)),
     )
     return hot_joined.union(cold_joined)

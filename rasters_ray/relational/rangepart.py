@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from rasters_ray.relational.aggregates import exact_quantiles
-from rasters_ray.util import exchange
+from rasters_ray.util import exchange, run_starts
 
 __all__ = ["range_partition_stats", "winsorized_stats", "global_ntile"]
 
@@ -227,7 +227,7 @@ def global_ntile(ds, key_col: str, values_fn, n_tiles: int):
         v = group.column("_v").to_numpy(zero_copy_only=False)
         order = np.lexsort((k, v))
         vo, ko = v[order], k[order]
-        starts = np.flatnonzero(np.r_[True, vo[1:] != vo[:-1]][: len(vo)])
+        starts = run_starts(vo)
         ns = np.diff(np.r_[starts, len(vo)])
         local = np.arange(len(vo), dtype=np.int64) - np.repeat(starts, ns)
         b = base[np.searchsorted(vals, vo[starts])]

@@ -17,7 +17,7 @@ from typing import Dict
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import exchange, fetch
+from rasters_ray.util import exchange, fetch, run_starts
 
 _TOKEN_RE = re.compile(r"\S+")
 _UPPER_RE = re.compile(r"[A-Z]")
@@ -534,7 +534,7 @@ def exact_dedup_groups(docs_ds, id_col: str = "doc_id", text_col: str = "text"):
         ids = group.column(id_col).to_numpy(zero_copy_only=False)
         order = np.argsort(keys, kind="stable")
         ks, si = keys[order], ids[order]
-        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]][: len(ks)])
+        starts = run_starts(ks)
         keeper = np.minimum.reduceat(si, starts)
         n = np.diff(np.r_[starts, len(ks)])
         return pa.table(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from rasters_ray.util import exchange
+from rasters_ray.util import exchange, run_starts
 
 _B = np.uint64(1000003)  # odd multiplier; wrapping mod 2^64
 
@@ -154,13 +154,10 @@ def duplicate_spans(docs_ds, k: int = 20, min_docs: int = 2,
         p = group.column("pos").to_numpy(zero_copy_only=False)
         order = np.lexsort((p, d, g))
         gs, ds_, ps = g[order], d[order], p[order]
-        # distinct-doc count per gram run, fully vectorized (an empty
-        # part has no runs)
-        gstart = np.r_[True, gs[1:] != gs[:-1]][: len(gs)]
-        new_doc = gstart | np.r_[True, ds_[1:] != ds_[:-1]][: len(gs)]
-        gid = np.cumsum(gstart) - 1
-        ndocs = np.zeros(gid[-1] + 1 if len(gid) else 0, np.int64)
-        np.add.at(ndocs, gid, new_doc.astype(np.int64))
+        # distinct-doc count per gram run, fully vectorized
+        gstart = run_starts(gs)
+        gid = np.repeat(np.arange(len(gstart)), np.diff(np.r_[gstart, len(gs)]))
+        ndocs = np.bincount(gid[run_starts(gs, ds_)], minlength=len(gstart))
         keep = ndocs[gid] >= min_docs
         return pa.table(
             {

@@ -74,6 +74,19 @@ def cluster_cpus() -> int:
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
+def run_starts(*cols) -> np.ndarray:
+    """Start index of each run of equal rows in the sorted arrays
+    ``cols`` (one or more, of one length, any dtype ``!=`` compares):
+    a run breaks where any column changes.  Empty arrays have no runs —
+    ``exchange`` calls its ``fn`` on zero-row parts, so every kernel
+    finds its runs here."""
+    change = np.zeros(len(cols[0]), bool)
+    change[:1] = True
+    for c in cols:
+        change[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(change)
+
+
 # A ``map_batches`` batch size no dataset reaches: the map's bundler
 # then waits for every input block and hands one task all the rows.
 GATHER_ROWS = 1 << 62
