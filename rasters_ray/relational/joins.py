@@ -78,10 +78,11 @@ def _base_schema(ds) -> pa.Schema:
     return getattr(sch, "base_schema", sch)
 
 
-def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, schemas):
-    """Tag both sides into one union-compatible layout.
+def _tag_sides(left_ds, right_ds, left_key_col, right_key_col, schemas):
+    """Tag both sides into one shared layout -> ([left, right] tagged
+    datasets, left names, right names), the inputs of one ``exchange``.
 
-    Union schema = left columns ++ ``__r_``-prefixed right columns ++
+    Shared schema = left columns ++ ``__r_``-prefixed right columns ++
     ``_side`` (int8) ++ ``_jh`` (int64: ``util.hash_cols`` of the side's
     key columns; keys may be a single column name or a list, and equal
     keys hash equally on both sides).  The other side's columns ride as
@@ -110,10 +111,9 @@ def _union_side_tables(left_ds, right_ds, left_key_col, right_key_col, schemas):
         cols.append(pa.array(hash_cols(t, rkeys).view(np.int64)))
         return pa.Table.from_arrays(cols, names=union_names)
 
-    union = left_ds.map_batches(tag_left, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_right, batch_format="pyarrow")
-    )
-    return union, lnames, rnames
+    sides = [left_ds.map_batches(tag_left, batch_format="pyarrow"),
+             right_ds.map_batches(tag_right, batch_format="pyarrow")]
+    return sides, lnames, rnames
 
 
 def _split_sides(group: pa.Table, lnames, rnames):
@@ -154,7 +154,7 @@ def hash_join(
 def _hash_join(left_ds, right_ds, on, right_on, how, right_suffix, post, schemas=None):
     """``hash_join`` with the sides' (left, right) schemas when known."""
     schemas = schemas or (_base_schema(left_ds), _base_schema(right_ds))
-    union, lnames, rnames = _union_side_tables(left_ds, right_ds, on, right_on, schemas)
+    sides, lnames, rnames = _tag_sides(left_ds, right_ds, on, right_on, schemas)
 
     def join_part(part: pa.Table) -> pa.Table:
         left_t, right_t = _split_sides(part, lnames, rnames)
@@ -168,7 +168,7 @@ def _hash_join(left_ds, right_ds, on, right_on, how, right_suffix, post, schemas
         )
         return post(joined) if post is not None else joined
 
-    return exchange(union, "_jh", join_part)
+    return exchange(sides, "_jh", join_part)
 
 
 def broadcast_join(
@@ -287,14 +287,14 @@ def asof_join(
     schemas = (_base_schema(left_ds), _base_schema(right_ds))
     if value_cols is None:
         value_cols = [n for n in schemas[1].names if n not in (by, right_on)]
-    union, lnames, rnames = _union_side_tables(left_ds, right_ds, by, by, schemas)
+    sides, lnames, rnames = _tag_sides(left_ds, right_ds, by, by, schemas)
 
     def part(group: pa.Table) -> pa.Table:
         return _asof_part(
             group, lnames, rnames, by, on, right_on, value_cols, tolerance
         )
 
-    return exchange(union, "_jh", part)
+    return exchange(sides, "_jh", part)
 
 
 def interval_join(

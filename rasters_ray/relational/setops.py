@@ -84,7 +84,6 @@ def set_op(
         keep = pred(seen_a, seen_b)
         return pa.table({out_col: pa.array(uniq[keep], group.schema.field("k").type)})
 
-    tagged = ds_a.map_batches(tagger(key_col_a, True), batch_format="pyarrow").union(
-        ds_b.map_batches(tagger(key_col_b, False), batch_format="pyarrow")
-    )
+    tagged = [ds_a.map_batches(tagger(key_col_a, True), batch_format="pyarrow"),
+              ds_b.map_batches(tagger(key_col_b, False), batch_format="pyarrow")]
     return exchange(tagged, "k", reduce_part)

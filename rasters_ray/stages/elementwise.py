@@ -171,7 +171,7 @@ def zip_apply(
         return out.set_column(out.column_names.index("fmt"), "fmt",
                               pa.array(["npy"] * out.num_rows, pa.string()))
 
-    return exchange(a_tag.union(b_tag), key, combine)
+    return exchange([a_tag, b_tag], key, combine)
 
 
 def fill_from(a_ds, b_ds, key: str = "image_id"):

@@ -293,4 +293,4 @@ def sample_points(
         )
         return pa.concat_tables([real, miss_tbl])
 
-    return exchange(matched.union(rd.from_arrow(marker)), "point_id", finish)
+    return exchange([matched, rd.from_arrow(marker)], "point_id", finish)

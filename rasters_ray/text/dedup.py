@@ -396,10 +396,9 @@ def exact_verify_pairs(
             }
         )
 
-    union = pairs.map_batches(explode_sides, batch_format="pyarrow").union(
-        docs_ds.select_columns([id_col, text_col]).map_batches(tag_docs, batch_format="pyarrow")
-    )
-    attached = exchange(union, "__key", attach_part)
+    sides = [pairs.map_batches(explode_sides, batch_format="pyarrow"),
+             docs_ds.select_columns([id_col, text_col]).map_batches(tag_docs, batch_format="pyarrow")]
+    attached = exchange(sides, "__key", attach_part)
 
     def verify_part(group: pa.Table) -> pa.Table:
         """One exchange partition of pairs: regroup side rows by (a, b) and

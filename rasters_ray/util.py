@@ -95,7 +95,11 @@ GATHER_ROWS = 1 << 62
 def exchange(ds, keys, fn):
     """The engine's one hash shuffle: ``fn(part)`` runs once per
     partition and sees every row of each key in that partition, in no
-    particular order, with the input's columns.
+    particular order, with the input's columns.  ``ds`` is one dataset
+    or a list of datasets with one schema (e.g. the two tagged sides of
+    a join), whose union is shuffled: pass the list rather than a
+    ``union`` of it, so each input's tag map fuses into its own last map
+    instead of copying the whole union once more.
 
     The part count ``n`` is the cluster's CPU count, read when the
     dataset is built.  Two plans:
@@ -125,13 +129,18 @@ def exchange(ds, keys, fn):
     import pyarrow.compute as pc
 
     keys_l = [keys] if isinstance(keys, str) else list(keys)
+    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
+
+    def union(parts: list):
+        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
+
     n = cluster_cpus()
     if n == 1:
         def apply_block(block: pa.Table) -> pa.Table:  # one operator name for every caller
             return fn(block)
 
-        return ds.map_batches(apply_block, batch_size=GATHER_ROWS, concurrency=1,
-                              zero_copy_batch=True, batch_format="pyarrow")
+        return union(inputs).map_batches(apply_block, batch_size=GATHER_ROWS, concurrency=1,
+                                         zero_copy_batch=True, batch_format="pyarrow")
 
     def tag(t: pa.Table) -> pa.Table:
         pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)
@@ -144,7 +153,7 @@ def exchange(ds, keys, fn):
         return fn(part.filter(pc.invert(part.column("_pad"))).drop_columns(["_part", "_pad"]))
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow")
+        union([d.map_batches(tag, batch_format="pyarrow") for d in inputs])
         .sort("_part", boundaries=list(range(1, n)))
         .map_batches(run, batch_size=None, batch_format="pyarrow")
     )
