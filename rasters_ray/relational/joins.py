@@ -3,10 +3,10 @@ as-of join, interval (range) join.
 
 Scale shapes
 ------------
-- ``hash_join``: ONE ``util.exchange`` of the two sides' union.  Each
-  row is tagged with the hash of its side's key columns (``_jh``, one
-  shared int64 column although the sides name their keys differently),
-  the exchange partitions the union on it, and each partition joins its
+- ``hash_join``: ONE ``util.exchange`` of the two sides.  Each row is
+  tagged with the hash of its side's key columns (``_jh``, one shared
+  int64 column although the sides name their keys differently), the
+  exchange partitions both sides on it, and each partition joins its
   two halves with the Acero hash join (``pyarrow.Table.join``,
   single-threaded per task — Ray owns the parallelism).  Works for every
   Acero join type (inner / left|right|full outer / semi / anti).  The
@@ -19,7 +19,7 @@ Scale shapes
   driver ``ray.put``s the table once, every map task joins its batch
   against the copy ``util.fetch`` deserializes once per worker.
 - ``asof_join``: per-key time-series join ("latest right row at or
-  before each left row").  Same single exchange of the union; inside a
+  before each left row").  Same single exchange of both sides; inside a
   partition the match is fully vectorized — lexsort both halves by
   (key, ts) and one ``np.searchsorted`` over a composite rank (no
   per-key Python loop; keys are dense-coded per partition so the

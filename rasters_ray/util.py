@@ -112,13 +112,15 @@ def exchange(ds, keys, fn):
       ``concurrency=1`` task pool keeps Ray from fusing it into the
       upstream map, so upstream stages still stream, one task per
       batch, instead of one task holding every input;
-    - ``n > 1``: each row is tagged with the hash of its key columns
-      (``hash_cols``) mod ``n`` and sorted on the tag with the known
-      boundaries ``1 .. n-1``, so Ray skips its sampling pass and
-      returns exactly ``n`` blocks.  Every tagging task also appends
-      one all-null PAD row per part, so no partition reaches the final
-      map empty: Ray skips its UDF on an empty block and emits a
-      zero-column one instead.  The pads are dropped before ``fn``.
+    - ``n > 1``: each row is tagged with its part, the hash of its key
+      columns (``hash_cols``) mod ``n``, and sorted on the tag with the
+      known boundaries, so Ray skips its sampling pass and returns
+      exactly ``n`` blocks.  Every tagging task also appends one
+      all-null PAD row per part, so no partition reaches the final map
+      empty: Ray skips its UDF on an empty block and emits a
+      zero-column one instead.  The one int16 column ``_part`` holds
+      ``2 * part`` for a row and ``2 * part + 1`` for a pad, so a row
+      pays two bytes to cross; the pads are dropped before ``fn``.
 
     So a partition of pads alone calls ``fn`` on a ZERO-ROW table that
     keeps the input's schema (the pads carry it), and ``fn`` returns
@@ -144,17 +146,17 @@ def exchange(ds, keys, fn):
 
     def tag(t: pa.Table) -> pa.Table:
         pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)
-        part = np.concatenate([hash_cols(t, keys_l) % np.uint64(n), np.arange(n, dtype=np.uint64)])
-        pad = np.arange(t.num_rows + n) >= t.num_rows
-        return (pa.concat_tables([t, pads]).append_column("_part", pa.array(part.astype(np.int64)))
-                .append_column("_pad", pa.array(pad, pa.bool_())))
+        part = (hash_cols(t, keys_l) % np.uint64(n)).astype(np.int16)
+        tags = np.concatenate([2 * part, 2 * np.arange(n, dtype=np.int16) + 1])
+        return pa.concat_tables([t, pads]).append_column("_part", pa.array(tags, pa.int16()))
 
     def run(part: pa.Table) -> pa.Table:
-        return fn(part.filter(pc.invert(part.column("_pad"))).drop_columns(["_part", "_pad"]))
+        real = pc.equal(pc.bit_wise_and(part.column("_part"), 1), 0)
+        return fn(part.filter(real).drop_columns(["_part"]))
 
     return (
         union([d.map_batches(tag, batch_format="pyarrow") for d in inputs])
-        .sort("_part", boundaries=list(range(1, n)))
+        .sort("_part", boundaries=list(range(2, 2 * n, 2)))
         .map_batches(run, batch_size=None, batch_format="pyarrow")
     )
 
