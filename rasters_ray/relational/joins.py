@@ -119,11 +119,10 @@ def _tag_sides(left_ds, right_ds, left_key_col, right_key_col, schemas):
 def _split_sides(group: pa.Table, lnames, rnames):
     side = group.column("_side").to_numpy(zero_copy_only=False)
     lmask = pa.array(side == 0)
-    # select before filter: the copy holds one side's columns, not the
-    # other side's typed nulls
-    left_t = group.select(lnames).filter(lmask)
-    right_t = group.select([_RPREFIX + n for n in rnames]).filter(pc.invert(lmask))
-    return left_t, right_t.rename_columns(rnames)
+    left_t = group.filter(lmask).select(lnames)
+    right_t = group.filter(pc.invert(lmask)).select([_RPREFIX + n for n in rnames])
+    right_t = right_t.rename_columns(rnames)
+    return left_t, right_t
 
 
 def hash_join(
