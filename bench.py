@@ -39,12 +39,13 @@ def install_sort_empty_schema_filter():
     schema (map_transformer.py:443-460) — so ANY map_batches task whose
     output is empty (a filter with no survivors in that block, a sort
     range with no keys) emits one zero-column bundle, on sort-free plans
-    too. Engine stages always return SCHEMA-TYPED empty tables
-    (rasters_ray.util.map_groups_typed and per-stage empty_table()
-    guards), and a typed empty CANNOT reach the executor through Ray's
-    batcher, so a warning whose "new schema" is EMPTY is provably the
-    Ray artifact; a real engine schema divergence always prints a
-    non-empty "new schema" and still surfaces."""
+    too. Engine stages always return SCHEMA-TYPED empty tables (each
+    rasters_ray.util.exchange ``fn`` returns its own typed empty table,
+    and per-stage empty_table() guards), and a typed empty CANNOT reach
+    the executor through Ray's batcher, so a warning whose "new schema"
+    is EMPTY is provably the Ray artifact; a real engine schema
+    divergence always prints a non-empty "new schema" and still
+    surfaces."""
     import logging
 
     class _F(logging.Filter):

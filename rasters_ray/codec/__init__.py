@@ -2,7 +2,8 @@
 
 Formats (FIXTURES.md §1; no PIL/rasterio in this environment):
 - ``npy`` — raw numpy, lossless, any dtype (the allclose-exact path);
-- ``png`` — stdlib-zlib grayscale PNG, lossless, uint8/uint16;
+- ``png`` — stdlib-zlib PNG (gray, gray+alpha, RGB, RGBA), lossless,
+  uint8/uint16, every scanline Up-filtered, deflated with ``Z_RLE``;
 - ``jpg``/``jpeg`` — baseline sequential JPEG, pure numpy
   (``jpeg_codec``; lossy, uint8 gray or RGB);
 - ``qnt`` — the engine's "lossy" path: float32 linearly quantized to
@@ -70,7 +71,7 @@ def encode(arr: np.ndarray, fmt: str) -> bytes:
             np.rint((a[finite] - vmin) / scale * 65534.0) + 1.0, 1, 65535
         ).astype(np.uint16)
         header = _QNT_MAGIC + struct.pack(">ffII", vmin, vmax, *a.shape)
-        return header + zlib.compress(q.tobytes(), 6)
+        return header + zlib.compress(q, 6)
     raise ValueError(f"unknown fmt: {fmt}")
 
 

@@ -1,9 +1,16 @@
 """Codec round-trips + PSNR invariant (BASELINE.json input_hint)."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rasters_ray import codec
+from rasters_ray.codec import png_codec
 from rasters_ray.sources import average_hash, make_fixture_images, make_oracle_images
 
 
@@ -92,6 +99,50 @@ def test_png_round_trip_uint16():
 def test_png_1x1():
     a = np.array([[7]], dtype=np.uint8)
     assert np.array_equal(codec.decode(codec.encode(a, "png"), "png"), a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([np.uint8, np.uint16]), st.integers(1, 4),
+       st.integers(1, 24), st.integers(1, 24), st.data())
+@example(np.uint8, 1, 1, 1, None)
+@example(np.uint16, 3, 1, 17, None)
+@example(np.uint8, 4, 19, 1, None)
+def test_png_round_trip_property(dtype, nch, h, w, data):
+    """Any uint8/uint16 gray, gray+alpha, RGB or RGBA array, 1x1, 1xN
+    and Nx1 included, decodes to itself."""
+    shape = (h, w) if nch == 1 else (h, w, nch)
+    if data is None:  # the pinned shapes: every sample at its maximum
+        a = np.full(shape, np.iinfo(dtype).max, dtype=dtype)
+    else:
+        a = data.draw(hnp.arrays(dtype, shape))
+    back = codec.decode(codec.encode(a, "png"), "png")
+    assert back.dtype == a.dtype and np.array_equal(back, a)
+
+
+def _idat_rows(png: bytes, h: int) -> np.ndarray:
+    """The decompressed scanlines of a one-IDAT PNG, one row each."""
+    at = png.index(b"IDAT")
+    (n,) = struct.unpack(">I", png[at - 4:at])
+    return np.frombuffer(zlib.decompress(png[at + 4:at + 4 + n]), np.uint8).reshape(h, -1)
+
+
+@pytest.mark.parametrize("shape,dtype", [((1, 1), np.uint8), ((40, 33), np.uint8),
+                                         ((7, 5, 3), np.uint16), ((1, 9, 4), np.uint8),
+                                         ((12, 1, 2), np.uint16)])
+def test_png_encoder_writes_every_scanline_up(shape, dtype):
+    a = np.random.default_rng(sum(shape)).integers(0, np.iinfo(dtype).max, shape, dtype=dtype)
+    rows = _idat_rows(codec.encode(a, "png"), shape[0])
+    assert (rows[:, 0] == 2).all()
+
+
+def test_qnt_bytes_match_a_copied_buffer():
+    """The quantized payload deflates from the array's own buffer: the
+    same bytes as deflating a ``tobytes()`` copy."""
+    a = (np.random.default_rng(8).random((37, 23)) * 90.0 - 10.0).astype(np.float32)
+    a[3, 4] = np.nan
+    blob = codec.encode(a, "qnt")
+    q = np.frombuffer(zlib.decompress(blob[20:]), dtype=np.uint16)
+    assert blob[20:] == zlib.compress(q.tobytes(), 6)
 
 
 def test_qnt_lossy_psnr_over_40db():
@@ -202,6 +253,81 @@ def test_png_all_filters_vs_reference():
     exp = np.frombuffer(b"".join(_ref_unfilter(rows, stride, bpp)),
                         dtype=np.uint8).reshape(h, w, 3)
     assert np.array_equal(got, exp)
+
+
+class _NumpySpy:
+    """Stands in for ``png_codec.np`` and counts ``np.empty`` calls: in
+    ``_unfilter`` only the per-row decoder allocates with it, the
+    whole-image fast paths copy the stream instead."""
+
+    def __init__(self):
+        self.empty_calls = 0
+
+    def __getattr__(self, name):
+        return self._empty if name == "empty" else getattr(np, name)
+
+    def _empty(self, *args, **kw):
+        self.empty_calls += 1
+        return np.empty(*args, **kw)
+
+
+def _unfilter_spied(monkeypatch, body, h, stride, bpp):
+    """``_unfilter``'s output, and whether the per-row decoder ran."""
+    spy = _NumpySpy()
+    monkeypatch.setattr(png_codec, "np", spy)
+    out = png_codec._unfilter(body, h, stride, bpp)
+    monkeypatch.undo()
+    return out, spy.empty_calls > 0
+
+
+def test_png_all_up_rgb_vs_reference(monkeypatch):
+    """An all-Up RGB stream takes the whole-image path and agrees with
+    the RFC pseudo-code reference."""
+    rng = np.random.default_rng(14)
+    w, h, bpp = 13, 9, 3
+    stride = w * bpp
+    rows = [(2, rng.integers(0, 256, stride, dtype=np.uint8).tobytes()) for _ in range(h)]
+    body = b"".join(bytes([ft]) + ln for ft, ln in rows)
+    exp = np.frombuffer(b"".join(_ref_unfilter(rows, stride, bpp)),
+                        dtype=np.uint8).reshape(h, w, 3)
+    assert np.array_equal(codec.decode(_png_build(w, h, 8, 2, body), "png"), exp)
+    out, per_row = _unfilter_spied(monkeypatch, body, h, stride, bpp)
+    assert not per_row and np.array_equal(out, exp.reshape(h, stride))
+    # one non-Up row sends the same stream to the per-row decoder
+    mixed = bytes([1]) + body[1:]
+    out, per_row = _unfilter_spied(monkeypatch, mixed, h, stride, bpp)
+    assert per_row
+    exp = b"".join(_ref_unfilter([(1, rows[0][1])] + rows[1:], stride, bpp))
+    assert out.tobytes() == exp
+
+
+def test_png_filter0_stream_takes_copy_path(monkeypatch):
+    rng = np.random.default_rng(15)
+    h, stride = 6, 10
+    px = rng.integers(0, 256, (h, stride), dtype=np.uint8)
+    body = b"".join(b"\x00" + r.tobytes() for r in px)
+    out, per_row = _unfilter_spied(monkeypatch, body, h, stride, 1)
+    assert not per_row and np.array_equal(out, px)
+    assert np.array_equal(codec.decode(_png_build(stride, h, 8, 0, body), "png"), px)
+
+
+def test_png_all_up_adam7_vs_reference():
+    """An interlaced stream whose every pass is all-Up: each pass
+    decodes like the reference and lands on its lattice."""
+    rng = np.random.default_rng(16)
+    w, h, bpp = 10, 11, 3
+    exp = np.zeros((h, w, 3), dtype=np.uint8)
+    passes = []
+    for x0, dx, y0, dy in png_codec._ADAM7:
+        pw, ph = len(range(x0, w, dx)), len(range(y0, h, dy))
+        if pw == 0 or ph == 0:
+            continue
+        rows = [(2, rng.integers(0, 256, pw * bpp, dtype=np.uint8).tobytes())
+                for _ in range(ph)]
+        passes.append(b"".join(b"\x02" + ln for _, ln in rows))
+        sub = b"".join(_ref_unfilter(rows, pw * bpp, bpp))
+        exp[y0::dy, x0::dx] = np.frombuffer(sub, np.uint8).reshape(ph, pw, 3)
+    assert np.array_equal(codec.decode(_png_build(w, h, 8, 2, passes), "png"), exp)
 
 
 def test_png_rgba_gray_alpha_roundtrip():
