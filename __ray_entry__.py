@@ -922,14 +922,10 @@ def q_antimeridian(sf_dir: str):
 
 
 def q_events_sessions(sf_dir: str):
-    """Session windows (30-min gap) per user — hash-partitioned groupby
+    """Session windows (30-min gap) per user — one ``exchange`` by user
     with a fully vectorized multi-user kernel (lexsort + reduceat), not a
     per-user Python group loop (one group per user does not scale)."""
-    N_PARTS = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    from rasters_ray.util import exchange, run_starts
 
     def sessions(group: pa.Table) -> pa.Table:
         u = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -937,10 +933,9 @@ def q_events_sessions(sf_dir: str):
         s = ts.cast(pa.int64()).to_numpy() // _ts_unit(ts.type)
         order = np.lexsort((s, u))
         us, ss = u[order], s[order]
-        new_user = np.r_[True, us[1:] != us[:-1]]
-        gap_break = np.r_[False, np.diff(ss) > 1800]
-        session_start = new_user | gap_break
-        starts = np.flatnonzero(new_user)
+        starts = run_starts(us)
+        session_start = np.diff(ss, prepend=ss[:1]) > 1800
+        session_start[starts] = True
         n_events = np.diff(np.r_[starts, len(us)])
         n_sessions = np.add.reduceat(session_start.astype(np.int64), starts)
         return pa.table(
@@ -951,12 +946,7 @@ def q_events_sessions(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(sessions, batch_format="pyarrow")
-    )
+    return exchange(_read(sf_dir, "events", ["user_id", "ts"]), "user_id", sessions)
 
 
 def q_image_footprint_join(sf_dir: str):
@@ -1421,10 +1411,10 @@ def q_events_window(sf_dir: str):
     """Tumbling 1-hour windows per event_type (count/min/max are exact and
     order-independent; sums are not, so they stay out of the oracle).
 
-    Window-key cardinality grows with the time span, so the reduce is the
-    hash-partitioned vectorized kind: per-batch partial (count, min, max)
-    per (type, window), then one lexsort + reduceat pass per partition."""
-    N_PARTS = 32
+    Window-key cardinality grows with the time span, so the reduce is one
+    ``exchange`` by window: per-batch partial (count, min, max) per
+    (type, window), then one lexsort + reduceat pass per partition."""
+    from rasters_ray.util import exchange, run_starts
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:  # map_batches can see empty blocks
@@ -1435,7 +1425,6 @@ def q_events_window(sf_dir: str):
                     "n": pa.array([], pa.int64()),
                     "vmin": pa.array([], pa.float64()),
                     "vmax": pa.array([], pa.float64()),
-                    "_part": pa.array([], pa.int64()),
                 }
             )
         per_sec = _ts_unit(t.column("ts").type)
@@ -1445,8 +1434,7 @@ def q_events_window(sf_dir: str):
         val = t.column("value").to_numpy(zero_copy_only=False)
         order = np.lexsort((win, et))
         ets, wins, vals = et[order], win[order], val[order]
-        new = np.r_[True, (ets[1:] != ets[:-1]) | (wins[1:] != wins[:-1])]
-        starts = np.flatnonzero(new)
+        starts = run_starts(ets, wins)
         n = np.diff(np.r_[starts, len(wins)])
         return pa.table(
             {
@@ -1455,7 +1443,6 @@ def q_events_window(sf_dir: str):
                 "n": pa.array(n, pa.int64()),
                 "vmin": pa.array(np.minimum.reduceat(vals, starts), pa.float64()),
                 "vmax": pa.array(np.maximum.reduceat(vals, starts), pa.float64()),
-                "_part": pa.array(wins[starts] % N_PARTS, pa.int64()),
             }
         )
 
@@ -1467,8 +1454,7 @@ def q_events_window(sf_dir: str):
         n = group.column("n").to_numpy()[order]
         vmin = group.column("vmin").to_numpy()[order]
         vmax = group.column("vmax").to_numpy()[order]
-        new = np.r_[True, (ets[1:] != ets[:-1]) | (wins[1:] != wins[:-1])]
-        starts = np.flatnonzero(new)
+        starts = run_starts(ets, wins)
         return pa.table(
             {
                 "event_type": pa.array(ets[starts].tolist(), pa.string()),
@@ -1479,12 +1465,10 @@ def q_events_window(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["ts", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(final, batch_format="pyarrow")
+    partials = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
+        partial, batch_format="pyarrow"
     )
+    return exchange(partials, "window_start", final)
 
 
 def q_rank_fusion(sf_dir: str):
@@ -3961,7 +3945,8 @@ def q_events_sliding(sf_dir: str):
     exactly 4 windows).  Same partition-wise vectorized partial+final as
     the tumbling query; the explode factor W/hop is a constant 4, so wire
     volume stays 4x window-cardinality partials, not 4x events."""
-    N_PARTS = 32
+    from rasters_ray.util import exchange, run_starts
+
     W, HOP = 3600, 900
     K = W // HOP
 
@@ -3974,7 +3959,6 @@ def q_events_sliding(sf_dir: str):
                     "n": pa.array([], pa.int64()),
                     "vmin": pa.array([], pa.float64()),
                     "vmax": pa.array([], pa.float64()),
-                    "_part": pa.array([], pa.int64()),
                 }
             )
         per_sec = _ts_unit(t.column("ts").type)
@@ -3985,8 +3969,7 @@ def q_events_sliding(sf_dir: str):
         val = np.tile(t.column("value").to_numpy(zero_copy_only=False), K)
         order = np.lexsort((win, et))
         ets, wins, vals = et[order], win[order], val[order]
-        new = np.r_[True, (ets[1:] != ets[:-1]) | (wins[1:] != wins[:-1])]
-        starts = np.flatnonzero(new)
+        starts = run_starts(ets, wins)
         n = np.diff(np.r_[starts, len(wins)])
         return pa.table(
             {
@@ -3995,7 +3978,6 @@ def q_events_sliding(sf_dir: str):
                 "n": pa.array(n, pa.int64()),
                 "vmin": pa.array(np.minimum.reduceat(vals, starts), pa.float64()),
                 "vmax": pa.array(np.maximum.reduceat(vals, starts), pa.float64()),
-                "_part": pa.array(wins[starts] % N_PARTS, pa.int64()),
             }
         )
 
@@ -4007,8 +3989,7 @@ def q_events_sliding(sf_dir: str):
         vmax = group.column("vmax").to_numpy(zero_copy_only=False)
         order = np.lexsort((win, et))
         ets, wins = et[order], win[order]
-        new = np.r_[True, (ets[1:] != ets[:-1]) | (wins[1:] != wins[:-1])]
-        starts = np.flatnonzero(new)
+        starts = run_starts(ets, wins)
         return pa.table(
             {
                 "event_type": pa.array(ets[starts].tolist(), pa.string()),
@@ -4023,12 +4004,10 @@ def q_events_sliding(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["ts", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(final, batch_format="pyarrow")
+    partials = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
+        partial, batch_format="pyarrow"
     )
+    return exchange(partials, "window_start", final)
 
 
 def q_stratified_sample(sf_dir: str):
@@ -4119,15 +4098,11 @@ def q_orders_anti(sf_dir: str):
 
 def q_user_running(sf_dir: str):
     """Per-user running totals ordered by time (the ROWS UNBOUNDED
-    PRECEDING window): users hash-partitioned, ONE lexsort + segmented
-    cumsum per partition resolves every user vectorized.  The cumulative
-    sum is int64 floor-cents, so it is bit-exact regardless of block
-    layout (a float cumsum would be order-dependent across engines)."""
-    N_PARTS = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    PRECEDING window): one ``exchange`` by user, then ONE lexsort +
+    segmented cumsum per partition resolves every user vectorized.  The
+    cumulative sum is int64 floor-cents, so it is bit-exact regardless of
+    block layout (a float cumsum would be order-dependent across engines)."""
+    from rasters_ray.util import exchange, run_starts
 
     def kernel(part: pa.Table) -> pa.Table:
         u = part.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4138,7 +4113,7 @@ def q_user_running(sf_dir: str):
         cents = np.floor(val * 100.0).astype(np.int64)
         order = np.lexsort((eid, s, u))
         us, cs = u[order], cents[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(us) > 0])
+        starts = run_starts(us)
         run = np.cumsum(cs)
         # segmented cumsum: subtract the prefix before each user's start
         base = np.repeat(
@@ -4158,35 +4133,18 @@ def q_user_running(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
-
-
-def _events_grain_pandas(sf_dir: str, partial, final):
-    """Finest-grain (event_type, hour) aggregate -> pandas (types x 24
-    rows — documented small-result collect; the raw events are scanned
-    exactly once).  Shared by the ROLLUP and CUBE queries."""
-    return (
-        _read(sf_dir, "events", ["ts", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(final, batch_format="pyarrow")
-        .to_pandas()
-    )
+    events = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
+    return exchange(events, "user_id", kernel)
 
 
 def q_events_rollup(sf_dir: str):
     """ROLLUP (event_type, hour) -> (type, hour) + (type) + grand total,
     sentinel-filled ('ALL' / -1).  The data is scanned ONCE at the
-    finest grain (vectorized partial + hash-partitioned reduce); the
-    coarser levels are derived from the finest-grain AGGREGATE, which is
-    grain-sized (types x 24 rows), never from the raw events — the
-    aggregate-once-roll-up-later shape."""
-    N_PARTS = 16
+    finest grain (vectorized partial + one ``exchange`` by (type, hour));
+    the coarser levels are derived from the finest-grain AGGREGATE, which
+    is grain-sized (types x 24 rows, collected to pandas), never from the
+    raw events — the aggregate-once-roll-up-later shape."""
+    from rasters_ray.util import exchange, run_starts
 
     def partial(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
@@ -4196,7 +4154,6 @@ def q_events_rollup(sf_dir: str):
                     "hour": pa.array([], pa.int64()),
                     "n": pa.array([], pa.int64()),
                     "sum_cents": pa.array([], pa.int64()),
-                    "_part": pa.array([], pa.int64()),
                 }
             )
         per_sec = _ts_unit(t.column("ts").type)
@@ -4210,7 +4167,7 @@ def q_events_rollup(sf_dir: str):
         combo = einv.astype(np.int64) * np.int64(24) + hour
         order = np.argsort(combo, kind="stable")
         cs = combo[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(cs) > 0])
+        starts = run_starts(cs)
         n = np.diff(np.r_[starts, len(cs)])
         return pa.table(
             {
@@ -4220,7 +4177,6 @@ def q_events_rollup(sf_dir: str):
                 "n": pa.array(n, pa.int64()),
                 "sum_cents": pa.array(np.add.reduceat(cents[order], starts),
                                       pa.int64()),
-                "_part": pa.array(cs[starts] % N_PARTS, pa.int64()),
             }
         )
 
@@ -4233,7 +4189,7 @@ def q_events_rollup(sf_dir: str):
         combo = einv.astype(np.int64) * np.int64(24) + hour
         order = np.argsort(combo, kind="stable")
         cs = combo[order]
-        starts = np.flatnonzero(np.r_[True, np.diff(cs) > 0])
+        starts = run_starts(cs)
         return pa.table(
             {
                 "event_type": pa.array(uet[(cs[starts] // 24).astype(np.int64)],
@@ -4245,7 +4201,10 @@ def q_events_rollup(sf_dir: str):
             }
         )
 
-    fine = _events_grain_pandas(sf_dir, partial, final)
+    partials = _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
+        partial, batch_format="pyarrow"
+    )
+    fine = exchange(partials, ["event_type", "hour"], final).to_pandas()
     import pandas as pd
     by_type = (
         fine.groupby("event_type", as_index=False)[["n", "sum_cents"]]
@@ -4748,15 +4707,12 @@ def q_hillshade(sf_dir: str):
 def q_funnel(sf_dir: str):
     """Ordered funnel per user (view -> click -> purchase, strictly
     increasing timestamps, each stage anchored at the FIRST qualifying
-    event): hash-partitioned groupby, per-partition fully vectorized
+    event): one ``exchange`` by user, per-partition fully vectorized
     multi-user kernel (lexsort + minimum.reduceat cascade) — the same
     no-per-user-Python-loop shape as events_sessions."""
-    N_PARTS = 32
-    INF = np.int64(1) << 62
+    from rasters_ray.util import exchange, run_starts
 
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    INF = np.int64(1) << 62
 
     def funnel(group: pa.Table) -> pa.Table:
         u = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4765,8 +4721,7 @@ def q_funnel(sf_dir: str):
         et = group.column("event_type").to_numpy(zero_copy_only=False)
         order = np.lexsort((ts, u))
         us, ss, es = u[order], ts[order], et[order]
-        new_user = np.r_[True, us[1:] != us[:-1]]
-        starts = np.flatnonzero(new_user)
+        starts = run_starts(us)
         runlen = np.diff(np.r_[starts, len(us)])
 
         def first_after(kind, floor_row):
@@ -4785,12 +4740,7 @@ def q_funnel(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(funnel, batch_format="pyarrow")
-    )
+    return exchange(_read(sf_dir, "events", ["user_id", "ts", "event_type"]), "user_id", funnel)
 
 
 def q_bigram_coverage(sf_dir: str):
@@ -4959,7 +4909,7 @@ def q_dup_spans(sf_dir: str):
     from ray.data.aggregate import Sum
 
     from rasters_ray.relational import hash_join
-    from rasters_ray.util import hash_parts
+    from rasters_ray.util import exchange
 
     N = N_DUPGRAM
 
@@ -5000,12 +4950,10 @@ def q_dup_spans(sf_dir: str):
     def count_partial(t: pa.Table) -> pa.Table:
         g = t.column("gram").to_numpy(zero_copy_only=False)
         uniq, counts = np.unique(g, return_counts=True)
-        arr = pa.array(uniq, pa.string())
         return pa.table(
             {
-                "gram": arr,
+                "gram": pa.array(uniq, pa.string()),
                 "n": pa.array(counts.astype(np.int64), pa.int64()),
-                "_part": pa.array(hash_parts(arr, 32), pa.int64()),
             }
         )
 
@@ -5018,11 +4966,7 @@ def q_dup_spans(sf_dir: str):
         keep = sums >= 2
         return pa.table({"gram": pa.array(uniq[keep], pa.string())})
 
-    dup = (
-        pos.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(dup_only, batch_format="pyarrow")
-    )
+    dup = exchange(pos.map_batches(count_partial, batch_format="pyarrow"), "gram", dup_only)
     hits = hash_join(pos, dup, on="gram", how="left semi")
 
     def per_doc(t: pa.Table) -> pa.Table:
@@ -5078,14 +5022,10 @@ def q_dup_spans(sf_dir: str):
 def q_band_join(sf_dir: str):
     """Banded stream-stream self-join: for every 'error' event, count the
     same user's 'click' events in the preceding 60 s (ts in [t-60s, t)).
-    Hash-partition by user, ONE shuffle; inside a partition the count is
-    two searchsorted calls on a composite (user, ts) key — no per-user
+    ONE ``exchange`` by user; inside a partition the count is two
+    searchsorted calls on a composite (user, ts) key — no per-user
     Python loop, no row pairing ever materialized."""
-    N_PARTS = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    from rasters_ray.util import exchange
 
     def band_count(group: pa.Table) -> pa.Table:
         et = group.column("event_type").to_numpy(zero_copy_only=False)
@@ -5114,23 +5054,15 @@ def q_band_join(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(band_count, batch_format="pyarrow")
-    )
+    events = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
+    return exchange(events, "user_id", band_count)
 
 
 def q_inter_arrival(sf_dir: str):
     """LAG-window inter-arrival statistics per (user, event_type):
     vectorized multi-run diff (lexsort + per-run reduceat) inside one
-    hash-partitioned groupby — integer microsecond gaps, bit-exact."""
-    N_PARTS = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    ``exchange`` by user — integer microsecond gaps, bit-exact."""
+    from rasters_ray.util import exchange, run_starts
 
     def gaps(group: pa.Table) -> pa.Table:
         u = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -5145,59 +5077,31 @@ def q_inter_arrival(sf_dir: str):
         uet, einv = np.unique(et, return_inverse=True)
         order = np.lexsort((us, einv, u))
         uo, eo, to = u[order], einv[order], us[order]
-        new_run = np.r_[True, (uo[1:] != uo[:-1]) | (eo[1:] != eo[:-1])]
-        g = np.diff(to)
-        valid = ~new_run[1:]  # gap belongs to a run continuation
-        run_id = np.cumsum(new_run) - 1
-        gr = run_id[1:][valid]
-        gv = g[valid]
-        if not len(gv):
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "event_type": pa.array([], pa.string()),
-                    "n_gaps": pa.array([], pa.int64()),
-                    "sum_gap_us": pa.array([], pa.int64()),
-                    "max_gap_us": pa.array([], pa.int64()),
-                }
-            )
-        runs = np.unique(gr)
-        sums = np.zeros(len(runs), np.int64)
-        maxs = np.zeros(len(runs), np.int64)
-        counts = np.zeros(len(runs), np.int64)
-        ridx = np.searchsorted(runs, gr)
-        np.add.at(sums, ridx, gv)
-        np.maximum.at(maxs, ridx, gv)
-        np.add.at(counts, ridx, 1)
-        starts = np.flatnonzero(new_run)
+        starts = run_starts(uo, eo)
+        n = np.diff(np.r_[starts, len(to)]) - 1  # gaps per run
+        # each row's gap from the row before, 0 at a run's start
+        g = np.diff(to, prepend=to[:1])
+        g[starts] = 0
+        keep = n > 0
         return pa.table(
             {
-                "user_id": pa.array(uo[starts][runs], pa.int64()),
-                "event_type": pa.array(uet[eo[starts][runs]], pa.string()),
-                "n_gaps": pa.array(counts, pa.int64()),
-                "sum_gap_us": pa.array(sums, pa.int64()),
-                "max_gap_us": pa.array(maxs, pa.int64()),
+                "user_id": pa.array(uo[starts][keep], pa.int64()),
+                "event_type": pa.array(uet[eo[starts][keep]], pa.string()),
+                "n_gaps": pa.array(n[keep], pa.int64()),
+                "sum_gap_us": pa.array((to[starts + n] - to[starts])[keep], pa.int64()),
+                "max_gap_us": pa.array(np.maximum.reduceat(g, starts)[keep], pa.int64()),
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(gaps, batch_format="pyarrow")
-    )
+    return exchange(_read(sf_dir, "events", ["user_id", "ts", "event_type"]), "user_id", gaps)
 
 
 def q_user_fill(sf_dir: str):
     """Per-key LOCF (LAST_VALUE IGNORE NULLS PARTITION BY user): carry
     each user's latest 'purchase' value onto their subsequent events —
     the partitioned sibling of the global forward_fill scan; one
-    groupby, vectorized in-partition fill."""
-    N_PARTS = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    ``exchange`` by user, vectorized in-partition fill."""
+    from rasters_ray.util import exchange, run_starts
 
     def fill(group: pa.Table) -> pa.Table:
         u = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -5207,10 +5111,10 @@ def q_user_fill(sf_dir: str):
         order = np.lexsort((eid, u))
         uo, io, eo, vo = u[order], eid[order], et[order], v[order]
         obs = eo == "purchase"
-        new_user = np.r_[True, uo[1:] != uo[:-1]]
         idx = np.where(obs, np.arange(len(vo)) + 1, 0)
         # reset the carried index at each user boundary: segmented cummax
-        seg = np.cumsum(new_user) - 1
+        starts = run_starts(uo)
+        seg = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(uo)]))
         # per-segment maximum.accumulate: subtract a big per-segment base
         base = seg * (len(vo) + 1)
         np.maximum.accumulate(idx + base, out=idx)  # idx now has base added
@@ -5228,12 +5132,8 @@ def q_user_fill(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["event_id", "user_id", "event_type", "value"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fill, batch_format="pyarrow")
-    )
+    events = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "value"])
+    return exchange(events, "user_id", fill)
 
 
 def q_hist_equalize(sf_dir: str):
@@ -9028,16 +8928,12 @@ def q_knn_join(sf_dir: str):
 def q_retention(sf_dir: str):
     """Cohort retention: users grouped by their FIRST-activity day,
     counted distinct per (cohort_day, age_days).  Two grouped stages —
-    per-user first day (hash groupby, vectorized min per partition),
-    then distinct (user, day) activity joined to cohorts and reduced —
-    all integer day arithmetic."""
+    per-user first day (one ``exchange`` by user, vectorized min per
+    partition), then distinct (user, day) activity joined to cohorts and
+    reduced — all integer day arithmetic."""
     from ray.data.aggregate import Sum
 
-    N_PARTS = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    from rasters_ray.util import exchange, run_starts
 
     def per_user(group: pa.Table) -> pa.Table:
         u = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9046,10 +8942,10 @@ def q_retention(sf_dir: str):
         # distinct (user, day) + per-user first day in one lexsort
         order = np.lexsort((day, u))
         uo, do = u[order], day[order]
-        new_pair = np.r_[True, (uo[1:] != uo[:-1]) | (do[1:] != do[:-1])]
-        uo, do = uo[new_pair], do[new_pair]
-        new_user = np.r_[True, uo[1:] != uo[:-1]]
-        first = np.repeat(do[new_user], np.diff(np.r_[np.flatnonzero(new_user), len(uo)]))
+        pairs = run_starts(uo, do)
+        uo, do = uo[pairs], do[pairs]
+        starts = run_starts(uo)
+        first = np.repeat(do[starts], np.diff(np.r_[starts, len(uo)]))
         return pa.table(
             {
                 "cohort_day": pa.array(first, pa.int64()),
@@ -9059,10 +8955,7 @@ def q_retention(sf_dir: str):
         )
 
     return (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(per_user, batch_format="pyarrow")
+        exchange(_read(sf_dir, "events", ["user_id", "ts"]), "user_id", per_user)
         .groupby(["cohort_day", "age_days"])
         .aggregate(Sum("n", alias_name="n_users"))
     )
@@ -9168,17 +9061,7 @@ def q_percent_rank(sf_dir: str):
     each event_type — per-partition sorted arrays + two searchsorted
     calls give tie-sharing ranks for every row at once; the final ratio
     is an exact int/int divide both engines round identically."""
-    N_PARTS = 8
-
-    def tag(t: pa.Table) -> pa.Table:
-        from rasters_ray.util import hash_parts
-
-        # partition BY TYPE (stable cross-batch string hash) so each
-        # type is wholly in one group
-        return t.append_column(
-            "_part",
-            pa.array(hash_parts(t.column("event_type"), N_PARTS), pa.int64()),
-        )
+    from rasters_ray.util import exchange
 
     def pr(group: pa.Table) -> pa.Table:
         et = np.asarray(group.column("event_type").to_pylist(), dtype=object)
@@ -9198,12 +9081,9 @@ def q_percent_rank(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["event_id", "event_type", "value"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(pr, batch_format="pyarrow")
-    )
+    # each type wholly in one partition
+    events = _read(sf_dir, "events", ["event_id", "event_type", "value"])
+    return exchange(events, "event_type", pr)
 
 
 def q_pushdown_scan(sf_dir: str):
@@ -9317,15 +9197,12 @@ def q_edit_near(sf_dir: str):
 def q_session_conversion(sf_dir: str):
     """Sessionized conversion: per user, how many 30-min-gap sessions
     contain a purchase AFTER a view (strict ts order within the
-    session).  One user-partitioned shuffle; sessions, per-session first
-    view, and the view-before-purchase test are all reduceat/cummax
+    session).  One ``exchange`` by user; sessions, per-session first
+    view, and the view-before-purchase test are all reduceat
     vectorized — no per-session Python loop."""
-    N_PARTS = 32
-    GAP = 1800
+    from rasters_ray.util import exchange, run_starts
 
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column("user_id").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % N_PARTS, pa.int64()))
+    GAP = 1800
 
     def conv(group: pa.Table) -> pa.Table:
         u = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9334,19 +9211,15 @@ def q_session_conversion(sf_dir: str):
         et = group.column("event_type").to_numpy(zero_copy_only=False)
         order = np.lexsort((s, u))
         us, ss, es = u[order], s[order], et[order]
-        new_user = np.r_[True, us[1:] != us[:-1]]
-        new_sess = new_user | np.r_[False, np.diff(ss) > GAP]
-        sess_id = np.cumsum(new_sess) - 1
-        sess_starts = np.flatnonzero(new_sess)
-        n_sess = len(sess_starts)
+        # a session breaks at a new user or a gap (the gap count only rises)
+        sess_starts = run_starts(us, np.cumsum(np.diff(ss, prepend=ss[:1]) > GAP))
         INF = np.int64(1) << 62
         # first view ts per session, broadcast back per row
         tv = np.where(es == "view", ss, INF)
         first_view = np.minimum.reduceat(tv, sess_starts)
         fv_row = np.repeat(first_view, np.diff(np.r_[sess_starts, len(ss)]))
         converted_row = (es == "purchase") & (ss > fv_row)
-        sess_conv = np.zeros(n_sess, bool)
-        np.logical_or.at(sess_conv, sess_id, converted_row)
+        sess_conv = np.logical_or.reduceat(converted_row, sess_starts)
         # reduce sessions per user
         sess_user = us[sess_starts]
         uu, uinv = np.unique(sess_user, return_inverse=True)
@@ -9360,34 +9233,26 @@ def q_session_conversion(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(conv, batch_format="pyarrow")
-    )
+    return exchange(_read(sf_dir, "events", ["user_id", "ts", "event_type"]), "user_id", conv)
 
 
 def q_cooccurrence(sf_dir: str):
     """Market-basket co-occurrence: part pairs appearing in the same
-    order >= 3 times.  Hash-partition by ORDER (each order's pairs
+    order >= 3 times.  One ``exchange`` by ORDER (each order's pairs
     generated wholly in one task, vectorized triu over order runs),
-    pair counts pre-reduced per partition, one packed-key shuffle to the
-    global count, threshold cut.  Oracle: lineitem self-join."""
-    N_PARTS = 32
-    MIN_N = 3
+    pair counts pre-reduced per partition, one ``exchange`` by the packed
+    pair key to the global count, threshold cut.  Oracle: lineitem
+    self-join."""
+    from rasters_ray.util import exchange, run_starts
 
-    def tag(t: pa.Table) -> pa.Table:
-        o = t.column("l_orderkey").to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(o % N_PARTS, pa.int64()))
+    MIN_N = 3
 
     def pairs(group: pa.Table) -> pa.Table:
         o = group.column("l_orderkey").to_numpy(zero_copy_only=False).astype(np.int64)
         p = group.column("l_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((p, o))
         oo, pp = o[order], p[order]
-        starts = np.r_[0, np.flatnonzero(oo[1:] != oo[:-1]) + 1, len(oo)]
-        max_m = int(np.diff(starts).max()) if len(starts) > 1 else 0
+        max_m = int(np.diff(np.r_[run_starts(oo), len(oo)]).max(initial=0))
         out_a: list = []
         out_b: list = []
         # shift trick: pairs at in-run distance s, one vectorized pass per
@@ -9404,7 +9269,6 @@ def q_cooccurrence(sf_dir: str):
                 {
                     "key": pa.array([], pa.int64()),
                     "n": pa.array([], pa.int64()),
-                    "_kp": pa.array([], pa.int64()),
                 }
             )
         a = np.concatenate(out_a)
@@ -9415,7 +9279,6 @@ def q_cooccurrence(sf_dir: str):
             {
                 "key": pa.array(uniq, pa.int64()),
                 "n": pa.array(counts.astype(np.int64), pa.int64()),
-                "_kp": pa.array(uniq % np.int64(N_PARTS), pa.int64()),
             }
         )
 
@@ -9435,14 +9298,8 @@ def q_cooccurrence(sf_dir: str):
             }
         )
 
-    return (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(pairs, batch_format="pyarrow")
-        .groupby("_kp")
-        .map_groups(final, batch_format="pyarrow")
-    )
+    lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    return exchange(exchange(lineitem, "l_orderkey", pairs), "key", final)
 
 
 def q_weighted_quantiles(sf_dir: str):

@@ -43,13 +43,11 @@ _ADAM7 = (
 _NCH = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
 
 
-def _chunk(tag: bytes, payload: bytes) -> bytes:
-    return (
-        struct.pack(">I", len(payload))
-        + tag
-        + payload
-        + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-    )
+def _chunk(tag: bytes, payload) -> tuple:
+    """The four parts of one chunk, for the file's one join: the CRC
+    runs over tag then payload without copying them together."""
+    crc = zlib.crc32(payload, zlib.crc32(tag))
+    return struct.pack(">I", len(payload)), tag, payload, struct.pack(">I", crc)
 
 
 def encode(arr: np.ndarray) -> bytes:
@@ -82,7 +80,7 @@ def encode(arr: np.ndarray) -> bytes:
     # Z_RLE: the zlib strategy for filtered image data
     z = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
     idat = z.compress(lines) + z.flush()
-    return _SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
+    return b"".join((_SIG, *_chunk(b"IHDR", ihdr), *_chunk(b"IDAT", idat), *_chunk(b"IEND", b"")))
 
 
 def _unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
@@ -210,7 +208,7 @@ def decode(data) -> np.ndarray:
     nch = _NCH[color]
     if depth not in (1, 2, 4, 8, 16) or (depth < 8 and color not in (0, 3)):
         raise ValueError(f"unsupported PNG depth {depth} for color type {color}")
-    raw = zlib.decompress(bytes(idat))
+    raw = zlib.decompress(idat)
     bpp = max(1, depth // 8 * nch)
 
     def _stride(w: int) -> int:

@@ -5,18 +5,21 @@ a per-user event stream: for each user's events ordered by (ts, id),
 count every adjacent (from_type -> to_type) pair.  This is the
 substrate of session flow analysis / Markov chain attribution.
 
-Scale shape: events hash-partition by user (ONE all-to-all — each
-user's stream must be contiguous to order it), then each partition
-counts all its users' pairs in one vectorized pass (lexsort + adjacent
-compare + np.unique).  Only (from, to, n) partials — at most
-|types|^2 rows per partition — reach the tiny final reduce
-(`grouped_int_sums(partials_ready=True)`).
+Scale shape: one ``util.exchange`` by user (each user's stream must
+be in one partition to order it), then each partition counts all its
+users' pairs in one vectorized pass (lexsort + adjacent compare +
+np.unique).  Only (from, to, n) partials — at most |types|^2 rows per
+partition — reach the tiny final reduce
+(`grouped_int_sums(partials_ready=True)`).  The per-series statistics
+exchange by series type instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from rasters_ray.util import exchange
 
 __all__ = ["pair_counts_arrays", "transition_counts", "lagged_pair_stats",
            "cusum_stats", "runs_test", "dtw_pair", "trigram_counts"]
@@ -53,14 +56,27 @@ def pair_counts_arrays(u: np.ndarray, order_key: np.ndarray,
     )
 
 
+def _series_values(ds, type_col: str, ts_col: str, id_col: str, values_fn):
+    """``ds`` cut to the columns a per-series statistic reads: the
+    series type, int64 ts, the tie id and the int64 values ``_v``."""
+
+    def select(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                type_col: t.column(type_col),
+                ts_col: t.column(ts_col).cast(pa.int64()),
+                id_col: t.column(id_col),
+                "_v": pa.array(np.asarray(values_fn(t), np.int64), pa.int64()),
+            }
+        )
+
+    return ds.map_batches(select, batch_format="pyarrow")
+
+
 def transition_counts(ds, user_col: str, ts_col: str, id_col: str,
-                      type_col: str, n_parts: int = 32):
+                      type_col: str):
     """Global (from_type, to_type, n) transition table as a Dataset."""
     from rasters_ray.relational.aggregates import grouped_int_sums
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column(user_col).to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % n_parts, pa.int64()))
 
     def fold(group: pa.Table) -> pa.Table:
         u = group.column(user_col).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -76,18 +92,14 @@ def transition_counts(ds, user_col: str, ts_col: str, id_col: str,
             }
         )
 
-    partials = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-    )
     return grouped_int_sums(
-        partials, ["from_type", "to_type"], None, partials_ready=True
+        exchange(ds, user_col, fold), ["from_type", "to_type"], None,
+        partials_ready=True
     )
 
 
 def lagged_pair_stats(ds, type_col: str, ts_col: str, id_col: str,
-                      values_fn, n_parts: int = 32):
+                      values_fn):
     """Lag-1 sufficient statistics per series -> Dataset[type, n_pairs,
     sx, sy, sxx, syy, sxy, acf].
 
@@ -95,24 +107,8 @@ def lagged_pair_stats(ds, type_col: str, ts_col: str, id_col: str,
     value pair (x_i, x_{i+1}) contributes exact integer sums; `acf` is
     the Pearson correlation of the pairs as ONE fixed-order float
     expression over the ints (SQL replays it with hugeint casts).
-    Series hash-partition by type so each is contiguous — same
+    Series exchange by type so each is in one partition — same
     group-fits-partition bound as grouped_quantiles."""
-    from rasters_ray.util import hash_parts
-
-    def tag(t: pa.Table) -> pa.Table:
-        v = np.asarray(values_fn(t), np.int64)
-        sel = pa.table(
-            {
-                type_col: t.column(type_col),
-                ts_col: t.column(ts_col).cast(pa.int64()),
-                id_col: t.column(id_col),
-                "_v": pa.array(v, pa.int64()),
-            }
-        )
-        return sel.append_column(
-            "_part", pa.array(hash_parts(sel.column(type_col), n_parts),
-                              pa.int64())
-        )
 
     def fold(group: pa.Table) -> pa.Table:
         ty = np.asarray(group.column(type_col).to_pylist(), dtype=object)
@@ -156,15 +152,11 @@ def lagged_pair_stats(ds, type_col: str, ts_col: str, id_col: str,
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return exchange(_series_values(ds, type_col, ts_col, id_col, values_fn),
+                    type_col, fold)
 
 
-def cusum_stats(ds, type_col: str, ts_col: str, id_col: str,
-                values_fn, n_parts: int = 32):
+def cusum_stats(ds, type_col: str, ts_col: str, id_col: str, values_fn):
     """CUSUM changepoint statistic per series -> Dataset[type, n, total,
     k_star, d_max].
 
@@ -176,25 +168,9 @@ def cusum_stats(ds, type_col: str, ts_col: str, id_col: str,
     most likely single changepoint.  Exactness bound: |n*C_k| < 2^63
     (n * total cents), documented like the other int64 cross products.
 
-    Series hash-partition by type (group-fits-partition, the
+    Series exchange by type (group-fits-partition, the
     lagged_pair_stats bound); inside the partition everything is one
     lexsort + vectorized cumsum."""
-    from rasters_ray.util import hash_parts
-
-    def tag(t: pa.Table) -> pa.Table:
-        v = np.asarray(values_fn(t), np.int64)
-        sel = pa.table(
-            {
-                type_col: t.column(type_col),
-                ts_col: t.column(ts_col).cast(pa.int64()),
-                id_col: t.column(id_col),
-                "_v": pa.array(v, pa.int64()),
-            }
-        )
-        return sel.append_column(
-            "_part", pa.array(hash_parts(sel.column(type_col), n_parts),
-                              pa.int64())
-        )
 
     def fold(group: pa.Table) -> pa.Table:
         ty = np.asarray(group.column(type_col).to_pylist(), dtype=object)
@@ -230,15 +206,11 @@ def cusum_stats(ds, type_col: str, ts_col: str, id_col: str,
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return exchange(_series_values(ds, type_col, ts_col, id_col, values_fn),
+                    type_col, fold)
 
 
-def runs_test(ds, type_col: str, ts_col: str, id_col: str,
-              values_fn, n_parts: int = 32):
+def runs_test(ds, type_col: str, ts_col: str, id_col: str, values_fn):
     """Wald-Wolfowitz runs test per series -> Dataset[type, n1, n2,
     runs, e_runs].
 
@@ -246,23 +218,8 @@ def runs_test(ds, type_col: str, ts_col: str, id_col: str,
     rank ceil(n/2), the repo-wide median rule); values EQUAL to the
     median are discarded (the classical treatment).  ``runs`` counts
     maximal same-sign blocks in (ts, id) order after discarding; the
-    one float is the expected run count ``1 + 2*n1*n2/(n1+n2)``."""
-    from rasters_ray.util import hash_parts
-
-    def tag(t: pa.Table) -> pa.Table:
-        v = np.asarray(values_fn(t), np.int64)
-        sel = pa.table(
-            {
-                type_col: t.column(type_col),
-                ts_col: t.column(ts_col).cast(pa.int64()),
-                id_col: t.column(id_col),
-                "_v": pa.array(v, pa.int64()),
-            }
-        )
-        return sel.append_column(
-            "_part", pa.array(hash_parts(sel.column(type_col), n_parts),
-                              pa.int64())
-        )
+    one float is the expected run count ``1 + 2*n1*n2/(n1+n2)``; series
+    exchange by type."""
 
     def fold(group: pa.Table) -> pa.Table:
         ty = np.asarray(group.column(type_col).to_pylist(), dtype=object)
@@ -300,11 +257,8 @@ def runs_test(ds, type_col: str, ts_col: str, id_col: str,
             }
         )
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return exchange(_series_values(ds, type_col, ts_col, id_col, values_fn),
+                    type_col, fold)
 
 
 def dtw_pair(ds, type_col: str, ts_col: str, id_col: str, values_fn,
@@ -371,17 +325,13 @@ def dtw_pair(ds, type_col: str, ts_col: str, id_col: str, values_fn,
 
 
 def trigram_counts(ds, user_col: str, ts_col: str, id_col: str,
-                   type_col: str, n_parts: int = 32):
+                   type_col: str):
     """Global (t1, t2, t3, n) trigram table of per-user event streams —
     the path-mining extension of :func:`transition_counts` (second-order
-    Markov / top navigation paths).  Same shape: ONE user-hash
-    all-to-all, vectorized per-partition triple extraction, partials
-    bounded by |types|^3 per partition."""
+    Markov / top navigation paths).  Same shape: ONE ``exchange`` by
+    user, vectorized per-partition triple extraction, partials bounded
+    by |types|^3 per partition."""
     from rasters_ray.relational.aggregates import grouped_int_sums
-
-    def tag(t: pa.Table) -> pa.Table:
-        u = t.column(user_col).to_numpy(zero_copy_only=False)
-        return t.append_column("_part", pa.array(u % n_parts, pa.int64()))
 
     def fold(group: pa.Table) -> pa.Table:
         u = group.column(user_col).to_numpy(
@@ -413,10 +363,5 @@ def trigram_counts(ds, user_col: str, ts_col: str, id_col: str,
             }
         )
 
-    partials = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(fold, batch_format="pyarrow")
-    )
-    return grouped_int_sums(partials, ["t1", "t2", "t3"], None,
-                            partials_ready=True)
+    return grouped_int_sums(exchange(ds, user_col, fold), ["t1", "t2", "t3"],
+                            None, partials_ready=True)

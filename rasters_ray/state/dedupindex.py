@@ -11,9 +11,9 @@ distinct keys in memory.
 
 Design:
   * N ``IndexShard`` actors, each owning a disjoint hash slice of key
-    space (`rasters_ray.util.hash_parts` — the same partitioner every
-    shuffle in this repo uses, so shard routing agrees with any
-    co-partitioned stage).
+    space (`rasters_ray.util.hash_parts`, the full-width ``hash_u64``
+    mod the shard count; shuffles go through ``util.exchange``, which
+    hashes with ``hash_cols`` mod the CPU count instead).
   * Ingest is a Dataset pass: ``map_batches`` splits each batch by shard
     and ships (key, order) pairs via ``observe.remote`` — payload is keys
     only, never documents.  The per-batch ``ray.get`` on the acks is the

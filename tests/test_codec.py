@@ -131,8 +131,10 @@ def _idat_rows(png: bytes, h: int) -> np.ndarray:
                                          ((12, 1, 2), np.uint16)])
 def test_png_encoder_writes_every_scanline_up(shape, dtype):
     a = np.random.default_rng(sum(shape)).integers(0, np.iinfo(dtype).max, shape, dtype=dtype)
-    rows = _idat_rows(codec.encode(a, "png"), shape[0])
+    png = codec.encode(a, "png")
+    rows = _idat_rows(png, shape[0])
     assert (rows[:, 0] == 2).all()
+    assert png == _rechunked(png)
 
 
 def test_qnt_bytes_match_a_copied_buffer():
@@ -200,6 +202,16 @@ def _png_chunk(tag, payload):
     import struct, zlib
     return (struct.pack(">I", len(payload)) + tag + payload
             + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
+
+
+def _rechunked(png: bytes) -> bytes:
+    """``png`` rebuilt chunk by chunk, each CRC over a ``tag + payload`` copy."""
+    out, pos = png[:8], 8
+    while pos < len(png):
+        (n,) = struct.unpack(">I", png[pos:pos + 4])
+        out += _png_chunk(png[pos + 4:pos + 8], png[pos + 8:pos + 8 + n])
+        pos += 12 + n
+    return out
 
 
 def _png_build(w, h, depth, color, body, extra=()):

@@ -1,7 +1,7 @@
 """Self-contained oracle smoke: a representative slice of the driver
 contract validated inside the pytest suite at sf0.001, so `pytest` alone
-proves the inline query operators (the full 123-query sweep runs via
-scripts/check_contract.py)."""
+proves the inline query operators (the sweep of every `queries()` entry
+runs via scripts/check_contract.py)."""
 
 import duckdb
 import numpy as np
@@ -61,6 +61,17 @@ QUERIES = [
     "hgt_roundtrip",
     "bil_roundtrip",
     "shp_roundtrip",
+    # per-user and per-series kernels on util.exchange
+    "events_sessions",
+    "events_window",
+    "events_sliding",
+    "user_running",
+    "events_rollup",
+    "transitions",
+    "acf_lag",
+    "cusum",
+    "runs_test",
+    "trigrams",
 ]
 
 TABLES = [

@@ -12,7 +12,8 @@ sessions too.
 
 ``exchange`` itself is checked by a property test against a pyarrow
 ``group_by`` reference, and the relational, text and temporal operators
-built on it must give the same rows under both plans."""
+built on it, and the contract queries whose shuffle is an exchange, must
+give the same rows under both plans."""
 
 import hashlib
 import json
@@ -505,12 +506,48 @@ def operator_ds(name: str):
         _rel_ds(imgs, 3), lambda image_id: (int(image_id[3:]) % 2, int(image_id[3:]) // 2), tile=32)
 
 
-def run_operator(name: str) -> str:
-    """Row-order-free digest of one operator's output.  A per-key Ray
-    ``groupby`` final (``grouped_int_sums``) emits a zero-column block
-    for each empty partition; those are dropped, typed ones are kept."""
-    t = pa.concat_tables([b for b in _blocks(operator_ds(name)) if b.num_columns])
+def _sorted_digest(blocks: list) -> str:
+    """Row-order-free digest of ``blocks``.  A per-key Ray ``groupby``
+    final (``grouped_int_sums``) emits a zero-column block for each empty
+    partition; those are dropped, typed ones are kept."""
+    t = pa.concat_tables([b for b in blocks if b.num_columns])
     return _digest(t.sort_by([(c, "ascending") for c in t.column_names]))
+
+
+def run_operator(name: str) -> str:
+    """Row-order-free digest of one operator's output."""
+    return _sorted_digest(_blocks(operator_ds(name)))
+
+
+# -- the contract queries built on exchange, under both plans ------------
+
+# Every per-user, per-window and per-series query whose shuffle is an
+# ``exchange`` on its key columns (``cooccurrence`` chains two).
+EXCHANGE_QUERIES = ["events_sessions", "events_window", "events_sliding", "user_running",
+                    "events_rollup", "events_cube", "funnel", "dup_spans", "band_join",
+                    "inter_arrival", "user_fill", "retention", "percent_rank",
+                    "session_conversion", "cooccurrence", "transitions", "acf_lag", "cusum",
+                    "runs_test", "trigrams"]
+
+
+def query_result(name: str):
+    """One contract query over the sf0.001 tables: a Dataset, or an Arrow
+    table for the queries that finish in pandas."""
+    import __ray_entry__ as entry
+    from test_contract_smoke import SF_DIR
+
+    return entry.queries()[name](SF_DIR)
+
+
+def run_query(name: str) -> list:
+    """[row-order-free digest, executed operators] of one contract query."""
+    import ray
+
+    res = query_result(name)
+    if isinstance(res, pa.Table):
+        return [_sorted_digest([res]), []]
+    ds = res.materialize()
+    return [_sorted_digest(ray.get(ds.to_arrow_refs())), _operators(ds._get_stats_summary())]
 
 
 _ONE_CPU = """
@@ -527,6 +564,7 @@ out = {"anti_join": {c: t.run_anti_join(c) for c in t.ANTI_JOIN_CASES},
                 "lattice": t.executed_operators(t.lattice_ds("merge_mean"))},
        "empty_crosstab": t.run_empty_crosstab(),
        "operators": {name: t.run_operator(name) for name in t.OPERATORS},
+       "queries": {name: t.run_query(name) for name in t.EXCHANGE_QUERIES},
        "exchange_property": t.exchange_property_result()}
 with tempfile.TemporaryDirectory() as root:
     out["flagship"] = t.run_flagship(root)
@@ -642,6 +680,32 @@ def test_operators_agree_across_plans(ray_session, one_cpu_results, name):
     got = run_operator(name)
     assert int(got.split(":")[0]) > 0
     assert got == one_cpu_results["operators"][name]
+
+
+@pytest.mark.parametrize("name", EXCHANGE_QUERIES)
+def test_exchange_queries_agree_across_plans(ray_session, one_cpu_results, name):
+    digest, _ = run_query(name)
+    assert int(digest.split(":")[0]) > 0
+    assert digest == one_cpu_results["queries"][name][0]
+
+
+@pytest.mark.parametrize("name", ["percent_rank", "user_running", "cooccurrence"])
+def test_one_part_query_plan_has_no_ray_sort(one_cpu_results, name):
+    ops = one_cpu_results["queries"][name][1]
+    names = [op for op, _ in ops]
+    assert not [op for op in names if "Sort" in op or "AllToAll" in op], names
+    # one gather task (``cooccurrence``'s two gathers fuse into it)
+    assert set(ops[-1][0].split("->")) == {"MapBatches(apply_block)"} and ops[-1][1] == 1, ops
+
+
+@pytest.mark.parametrize("name", ["percent_rank", "cusum"])
+def test_n_part_query_yields_typed_blocks(ray_session, name):
+    """The query keys on five event types, so a part may get none: each
+    part still yields a block with the query's schema, not a zero-column
+    one."""
+    blocks = _blocks(query_result(name))
+    assert len(blocks) > 1 and blocks[0].num_columns
+    assert all(b.schema == blocks[0].schema for b in blocks)
 
 
 @pytest.fixture(scope="module")
