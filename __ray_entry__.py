@@ -4116,9 +4116,7 @@ def q_user_running(sf_dir: str):
         starts = run_starts(us)
         run = np.cumsum(cs)
         # segmented cumsum: subtract the prefix before each user's start
-        base = np.repeat(
-            np.r_[0, run[starts[1:] - 1]], np.diff(np.r_[starts, len(us)])
-        )
+        base = np.repeat((run - cs)[starts], np.diff(np.r_[starts, len(us)]))
         run_n = (
             np.arange(len(us), dtype=np.int64)
             - np.repeat(starts, np.diff(np.r_[starts, len(us)]))

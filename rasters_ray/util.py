@@ -10,12 +10,12 @@ import numpy as np
 _FIB_MIX = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio
 
 
-def hash_parts(values, n: int) -> np.ndarray:
-    """Hash partition (0..n) of an id array (``hash_u64`` mod ``n``).
-    Two callers: the checkpointed tiling job's output partitions
-    (``pipelines/flagship.py``) and the dedup index's shards
+def hash_parts(values, n_parts: int) -> np.ndarray:
+    """Hash partition (0..n_parts) of an id array (``hash_u64`` mod
+    ``n_parts``).  Two callers: the checkpointed tiling job's output
+    partitions (``pipelines/flagship.py``) and the dedup index's shards
     (``state/dedupindex.py``).  A shuffle goes through ``exchange``."""
-    return (hash_u64(values) % np.uint64(n)).astype(np.int64)
+    return (hash_u64(values) % np.uint64(n_parts)).astype(np.int64)
 
 
 def hash_u64(values) -> np.ndarray:

@@ -706,6 +706,58 @@ def test_n_part_query_yields_typed_blocks(ray_session, name):
     blocks = _blocks(query_result(name))
     assert len(blocks) > 1 and blocks[0].num_columns
     assert all(b.schema == blocks[0].schema for b in blocks)
+    # a part got pad rows alone, so its kernel ran on zero rows
+    assert any(b.num_rows == 0 for b in blocks), [b.num_rows for b in blocks]
+
+
+@pytest.mark.parametrize("name", EXCHANGE_QUERIES)
+def test_exchange_query_kernels_take_a_zero_row_part(ray_session, monkeypatch, name):
+    """Every ``fn`` the query hands to ``exchange`` takes a zero-row part
+    (what a part of pad rows alone gets) and returns its own typed empty
+    table, with the schema it returns on the query's real input."""
+    import rasters_ray.util as util
+    from rasters_ray.relational import sequence
+
+    real, calls = util.exchange, []
+
+    def capture(ds, keys, fn):
+        calls.append((ds, fn))
+        return real(ds, keys, fn)
+
+    monkeypatch.setattr(util, "exchange", capture)
+    monkeypatch.setattr(sequence, "exchange", capture)
+    query_result(name)
+    assert calls
+    for ds, fn in calls:
+        inputs = ds if isinstance(ds, (list, tuple)) else [ds]
+        full = pa.concat_tables([b for d in inputs for b in _blocks(d)])
+        assert full.num_rows
+        want = fn(full).schema
+        got = fn(full.slice(0, 0))
+        assert got.num_rows == 0 and got.schema == want, (got.schema, want)
+
+
+def test_user_running_over_one_user_fills_one_part(ray_session, tmp_path):
+    """One user reaches one of the n parts; the others get pad rows
+    alone, and the query still returns that user's rows in typed
+    blocks."""
+    import ray
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+    from test_contract_smoke import SF_DIR
+
+    events = pq.read_table(f"{SF_DIR}/events.parquet")
+    one = pc.equal(events.column("user_id"), events.column("user_id")[0])
+    pq.write_table(events.filter(one), str(tmp_path / "events.parquet"))
+    blocks = _blocks(entry.queries()["user_running"](str(tmp_path)))
+    assert len(blocks) == int(ray.cluster_resources()["CPU"]) > 2
+    assert [b.num_rows > 0 for b in blocks].count(True) == 1, [b.num_rows for b in blocks]
+    assert all(b.schema == blocks[0].schema for b in blocks)
+    full = _table(query_result("user_running"))
+    mine = full.filter(pc.equal(full.column("user_id"), events.column("user_id")[0]))
+    assert mine.num_rows > 1
+    assert _sorted_digest(blocks) == _sorted_digest([mine])
 
 
 @pytest.fixture(scope="module")
