@@ -15,9 +15,13 @@ Re-expresses the reference's geometry lookups as Ray Data join patterns
   only the images with hits, to decode each once and gather its values
   — the engine's ``Raster.open(geometry=MultiPoint)`` / ``to_point``
   (raster.py:670-711, raster.py:1295-1322).
-- missed points (no image contains them) become NaN rows through one
-  fused anti-join exchange (``util.exchange``, one part per cluster CPU)
-  — the reference's OOB->NaN semantics (raster.py:701-703).
+- missed points (no image contains them) become NaN rows — the
+  reference's OOB->NaN semantics (raster.py:701-703).  On one cluster
+  CPU, over images whose schema the plan knows, the sampling and the
+  anti-join are ONE task: a gather over every image block samples
+  zero-copy slices and emits the points no slice hit.  Otherwise the
+  matched rows and one marker row per point meet in one fused
+  anti-join exchange (``util.exchange``, one part per CPU).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from ..grids import cellkey
 from ..grids.covering import covering_rows, ragged
 from ..grids.windows import point_cells
 from ..proj import parse_crs, transform_xy
-from ..util import exchange, fetch
+from ..util import GATHER_ROWS, cluster_cpus, exchange, fetch
 
 JOIN_SCHEMA = pa.schema(
     [
@@ -67,17 +71,25 @@ class PointBuckets:
     """Broadcastable point lookup: cell_key -> (point_ids, lon, lat).
     Built once on the driver from the (small) point table, ``ray.put`` and
     read by every sampling task through ``util.fetch``.  Points are sorted
-    by cell key (stable), so the points of one cell are one slice."""
+    by cell key (stable), so the points of one cell are one slice.
+
+    A point id names one point: a repeated ``point_id`` raises
+    ValueError, since a miss row is found by id."""
 
     def __init__(self, points: pa.Table, level: int):
+        ids = points.column("point_id").cast(pa.string()).combine_chunks()
+        if len(pc.unique(ids)) < len(ids):
+            seen = set()
+            for v in ids.to_pylist():
+                if v in seen:
+                    raise ValueError(f"point_id must be unique, {v!r} repeats")
+                seen.add(v)
         pts = assign_cells(points, level)
         self.level = level
         cid = pts.column("cell_key").to_numpy()
         order = np.argsort(cid, kind="stable")
         self.cell_sorted = cid[order]
-        self.ids_arrow = (
-            pts.column("point_id").cast(pa.string()).combine_chunks().take(pa.array(order))
-        )
+        self.ids_arrow = ids.take(pa.array(order))
         self.lon = pts.column("lon").to_numpy()[order]
         self.lat = pts.column("lat").to_numpy()[order]
         self.n = len(order)
@@ -214,6 +226,29 @@ def sample_points_batch(batch: pa.Table, buckets: PointBuckets, level: int) -> p
     )
 
 
+def with_misses(matched: pa.Table, ids) -> pa.Table:
+    """``matched`` join rows plus one NaN miss row (raster.py:701-703
+    semantics) for each point id of ``ids`` that no matched row has:
+    the left-anti join of both ``sample_points`` plans, vectorized."""
+    if matched.num_rows:
+        ids = ids.filter(pc.invert(pc.is_in(ids, value_set=pc.unique(matched.column("point_id")))))
+    if isinstance(ids, pa.ChunkedArray):
+        ids = ids.combine_chunks()
+    n = len(ids)
+    misses = pa.Table.from_arrays(
+        [
+            ids,
+            pa.nulls(n, pa.string()),
+            pa.nulls(n, pa.int32()),
+            pa.nulls(n, pa.int32()),
+            pa.array(np.full(n, np.nan), pa.float64()),
+            pa.array(np.zeros(n, dtype=bool), pa.bool_()),
+        ],
+        schema=JOIN_SCHEMA,
+    )
+    return pa.concat_tables([matched, misses])
+
+
 def sample_points(
     images_ds,
     points: pa.Table,
@@ -227,12 +262,50 @@ def sample_points(
     ``ray.put`` once, and read by stateless tasks through ``util.fetch``
     (deserialized once per worker). Misses (points no image contains)
     are appended as NaN rows (raster.py:701-703 semantics).
+
+    With misses, the plan follows the cluster's CPU count (the figure
+    ``util.exchange`` reads).  On one CPU it is one task after the
+    input: that task takes every image block (zero-copy), samples it in
+    ``batch_size``-image slices, so decoding holds no more than a batch
+    at a time, and appends the misses from the broadcast point index.
+    Its input is every image's bytes, where a gather of matched rows
+    would take only the rows; no byte bound caps it yet.  That plan
+    needs the images' schema when the dataset is built (a read or a
+    non-empty in-memory table has it, a map's output does not).
+    Without it, and on n > 1 CPUs, ``batch_size``-image tasks sample in
+    parallel and the anti-join is one exchange on ``point_id``.
     """
     import ray
     import ray.data as rd
 
     buckets = PointBuckets(points, level)
     ref = ray.put(buckets)
+
+    one_cpu = include_misses and cluster_cpus() == 1
+    schema = images_ds.schema(fetch_if_missing=False) if one_cpu else None
+    if schema is not None and isinstance(schema.base_schema, pa.Schema):
+        def sample_gather(images: pa.Table) -> pa.Table:
+            # drop the pad row: the one row with neither an id nor a grid
+            pad = pc.and_(pc.is_null(images.column("image_id")), pc.is_null(images.column("grid")))
+            i = int(np.flatnonzero(pad.to_numpy(zero_copy_only=False))[0])
+            images = pa.concat_tables([images.slice(0, i), images.slice(i + 1)])
+            b = fetch(ref)
+            matched = [sample_points_batch(images.slice(s, batch_size), b, level)
+                       for s in range(0, images.num_rows, batch_size)]
+            return with_misses(pa.concat_tables([JOIN_SCHEMA.empty_table(), *matched]),
+                               b.ids_arrow)
+
+        # One gather task, like ``util.exchange``'s on one CPU.  Ray calls
+        # no UDF on an empty input, so one all-null pad row (dropped
+        # inside) makes the task run, and report every point as a miss,
+        # when there are no image rows at all.  The pad has the images'
+        # own schema: Ray cannot concatenate blocks whose columns differ
+        # next to a struct column such as ``grid``.
+        pad = pa.Table.from_arrays([pa.nulls(1, f.type) for f in schema.base_schema],
+                                   schema=schema.base_schema)
+        return images_ds.union(rd.from_arrow(pad)).map_batches(
+            sample_gather, batch_size=GATHER_ROWS, concurrency=1, zero_copy_batch=True,
+            batch_format="pyarrow")
 
     def sample(batch: pa.Table) -> pa.Table:
         return sample_points_batch(batch, fetch(ref), level)
@@ -243,17 +316,15 @@ def sample_points(
     if not include_misses:
         return matched
 
-    # anti-join FUSED into one exchange: union(matched rows, one marker
-    # row per point), hash-exchanged on point_id (``util.exchange``: one
-    # part per cluster CPU; on one CPU a single gather task over every
-    # row, with no repartition, hash tag or sort). Inside each part
+    # The anti-join FUSED into one exchange: union(matched rows, one
+    # marker row per point), hash-exchanged on point_id into one part
+    # per CPU (one gather task on one CPU).  Inside each part
     # (vectorized, no per-key Python) the matched rows pass through
     # unchanged and markers whose point_id never matched emit the NaN
-    # miss row (raster.py:701-703 semantics). The
-    # sampling stage executes exactly ONCE, nothing is materialized, and
-    # no id set ever reaches the driver — the distributed form of a
-    # left-anti join, specialised so the matched stream is consumed a
-    # single time.
+    # miss row.  The sampling stage executes exactly ONCE, nothing is
+    # materialized, and no id set ever reaches the driver — the
+    # distributed form of a left-anti join, specialised so the matched
+    # stream is consumed a single time.
     n_pts = points.num_rows
     marker = pa.Table.from_arrays(
         [
@@ -268,29 +339,8 @@ def sample_points(
     )
 
     def finish(part: pa.Table) -> pa.Table:
-        valid = pc.is_valid(part.column("inside"))
-        real = part.filter(valid)
-        markers = part.filter(pc.invert(valid))
-        if markers.num_rows == 0:
-            return real
-        miss_ids = markers.column("point_id")
-        if real.num_rows:
-            matched_ids = pc.unique(real.column("point_id"))
-            miss_ids = markers.filter(
-                pc.invert(pc.is_in(markers.column("point_id"), value_set=matched_ids))
-            ).column("point_id")
-        n_miss = len(miss_ids)
-        miss_tbl = pa.Table.from_arrays(
-            [
-                miss_ids.combine_chunks() if isinstance(miss_ids, pa.ChunkedArray) else miss_ids,
-                pa.nulls(n_miss, pa.string()),
-                pa.nulls(n_miss, pa.int32()),
-                pa.nulls(n_miss, pa.int32()),
-                pa.array(np.full(n_miss, np.nan), pa.float64()),
-                pa.array(np.zeros(n_miss, dtype=bool), pa.bool_()),
-            ],
-            schema=JOIN_SCHEMA,
-        )
-        return pa.concat_tables([real, miss_tbl])
+        is_marker = pc.is_null(part.column("inside"))
+        return with_misses(part.filter(pc.invert(is_marker)),
+                           part.filter(is_marker).column("point_id"))
 
     return exchange([matched, rd.from_arrow(marker)], "point_id", finish)

@@ -90,6 +90,8 @@ def run_starts(*cols) -> np.ndarray:
 
 # A ``map_batches`` batch size no dataset reaches: the map's bundler
 # then waits for every input block and hands one task all the rows.
+# Two users: ``exchange``'s one-part gather and the one-CPU plan of
+# ``stages.point_join.sample_points``.
 GATHER_ROWS = 1 << 62
 
 

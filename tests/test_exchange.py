@@ -4,11 +4,15 @@ The Tier-1 session has 4 CPUs, so ``exchange`` runs its n-part plan
 (hash tag + known-boundary sort) there.  The 1-part plan (one gather
 task: a ``concurrency=1`` map whose batch holds every row, no tag, no
 sort, no repartition) runs in a ``num_cpus=1`` session in a subprocess,
-which computes every case once and records the operators two of them
+which computes every case once and records the operators three of them
 executed (``one_cpu_results``).  Both plans must equal the same
-single-process reference.  The checkpointed tiling job runs no exchange
-but sizes its tile bundles by the same CPU count, so it runs in both
-sessions too.
+single-process reference.  On one CPU the point anti-join over images
+whose schema the plan knows is no exchange at all: it samples and
+emits its misses in one task.  ``__ray_entry__.entry()``'s join, whose
+images are a map's output, keeps the exchange there; it must give the
+same rows at 1 and at 4 CPUs.
+The checkpointed tiling job runs no exchange but sizes its tile
+bundles by the same CPU count, so it runs in both sessions too.
 
 ``exchange`` itself is checked by a property test against a pyarrow
 ``group_by`` reference, and the relational, text and temporal operators
@@ -45,7 +49,8 @@ from rasters_ray.stages.composite import (
 from rasters_ray.stages.point_join import JOIN_SCHEMA, PointBuckets, sample_points_batch
 
 LEVEL = 8
-ANTI_JOIN_CASES = ["none_matched", "all_matched", "no_images", "split_blocks"]
+ANTI_JOIN_CASES = ["none_matched", "all_matched", "no_images", "split_blocks", "empty_read",
+                   "extra_columns"]
 LATTICES = ["merge_mean", "mosaic_first", "mosaic_best"]
 COMPOSITES = ["merge_mean", "merge_mean_banded", "mosaic_first"]
 FLAGSHIP_IMAGES = 160
@@ -74,9 +79,15 @@ def anti_join_case(name: str):
     if name == "all_matched":
         return ([make_oracle_images(np.arange(4))],
                 _points(["a", "b", "c"], [_center(0, 0, 0), _center(0, 3, 5), _center(1, 60, 70)]), 64)
-    if name == "no_images":
+    if name in ("no_images", "empty_read"):
         return ([make_oracle_images(np.arange(0))],
                 _points(["a", "b"], [_center(0, 0, 0), (100.0, 0.0)]), 64)
+    if name == "extra_columns":
+        # a column the kernel does not read, in two blocks
+        imgs = make_oracle_images(np.arange(3))
+        imgs = imgs.append_column("order", pa.array(np.arange(3)))
+        return ([imgs.slice(0, 1), imgs.slice(1)],
+                _points(["a", "b", "c"], [_center(0, 0, 0), _center(2, 1, 1), (100.0, 0.0)]), 64)
     # Three image blocks sampled two images per batch.  The numeric ids
     # fall only in images 3-4, so their matched rows arrive in batches of
     # all-numeric ids, while every marker arrives in one block of mixed
@@ -143,12 +154,25 @@ def anti_join_ds(name: str):
     import ray.data as rd
 
     blocks, points, batch_size = anti_join_case(name)
-    return sample_points(rd.from_arrow(blocks), points, level=LEVEL, include_misses=True,
-                         batch_size=batch_size)
+    ds = rd.from_arrow(blocks)
+    if name == "empty_read":
+        # no rows, like a read whose filter keeps none, but unlike an
+        # empty in-memory table the plan knows its schema (a limit
+        # passes its input's on)
+        ds = rd.from_arrow(make_oracle_images(np.arange(2))).limit(0)
+    return sample_points(ds, points, level=LEVEL, include_misses=True, batch_size=batch_size)
 
 
 def run_anti_join(name: str) -> list:
     return _rows(_table(anti_join_ds(name)))
+
+
+def run_entry() -> str:
+    """Row-order-free digest of ``__ray_entry__.entry()``'s join (sf0.001;
+    its ``sample_points`` keeps the misses)."""
+    import __ray_entry__ as entry
+
+    return _sorted_digest(_blocks(entry.entry()))
 
 
 def lattice_ds(name: str):
@@ -560,7 +584,9 @@ import test_exchange as t
 out = {"anti_join": {c: t.run_anti_join(c) for c in t.ANTI_JOIN_CASES},
        "lattice": {c: t.run_lattice(c) for c in t.LATTICES},
        "composite": {c: t.run_composite(c) for c in t.COMPOSITES},
+       "entry": t.run_entry(),
        "plan": {"anti_join": t.executed_operators(t.anti_join_ds("split_blocks")),
+                "anti_join_empty": t.executed_operators(t.anti_join_ds("empty_read")),
                 "lattice": t.executed_operators(t.lattice_ds("merge_mean"))},
        "empty_crosstab": t.run_empty_crosstab(),
        "operators": {name: t.run_operator(name) for name in t.OPERATORS},
@@ -603,8 +629,7 @@ def test_anti_join_one_part_plan_matches_reference(one_cpu_results, name):
     assert got == _reference(name)
 
 
-@pytest.mark.parametrize("step,upstream", [("anti_join", "MapBatches(sample)"),
-                                           ("lattice", "MapBatches(partial)")])
+@pytest.mark.parametrize("step,upstream", [("lattice", "MapBatches(partial)")])
 def test_one_part_plan_is_one_unfused_gather_task(one_cpu_results, step, upstream):
     ops = one_cpu_results["plan"][step]
     names = [name for name, _ in ops]
@@ -612,6 +637,38 @@ def test_one_part_plan_is_one_unfused_gather_task(one_cpu_results, step, upstrea
     assert ops[-1] == ["MapBatches(apply_block)", 1], ops
     # the gather runs as its own operator: upstream maps still stream
     assert upstream in names, names
+
+
+@pytest.mark.parametrize("step", ["anti_join", "anti_join_empty"])
+def test_one_part_point_sample_is_one_map_task(one_cpu_results, step):
+    """On one CPU the sampling and the anti-join run in one task after
+    the input: no separate sampling map, no gather, no repartition.
+    Over an input of no rows the pad row alone runs that task."""
+    ops = one_cpu_results["plan"][step]
+    names = [name for name, _ in ops]
+    assert not [name for name in names if name.startswith("Repartition")], names
+    assert "MapBatches(sample)" not in names, names
+    assert [op for op in ops if op[0].startswith("MapBatches")] == [ops[-1]], ops
+    assert ops[-1][1] == 1, ops
+
+
+def test_entry_digest_agrees_across_plans(ray_session, one_cpu_results):
+    got = run_entry()
+    assert int(got.split(":")[0]) > 0
+    assert got == one_cpu_results["entry"]
+
+
+def test_duplicate_point_ids_are_rejected_before_execution(ray_session):
+    # Misses are found by id, so a repeated id would lose its miss row:
+    # here the second "a" (at (100, 0), in no image) would get no row.
+    import ray.data as rd
+
+    points = _points(["a", "a", "b"], [_center(0, 0, 0), (100.0, 0.0), (100.5, 0.0)])
+    ds = rd.from_arrow(make_oracle_images(np.arange(2)))
+    with pytest.raises(ValueError, match="'a' repeats"):
+        sample_points(ds, points, level=LEVEL, include_misses=True)
+    with pytest.raises(ValueError, match="'a' repeats"):
+        PointBuckets(points, LEVEL)
 
 
 def test_exchange_over_empty_blocks_yields_no_rows_under_both_plans(ray_session, one_cpu_results):
