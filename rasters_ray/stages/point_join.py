@@ -16,12 +16,15 @@ Re-expresses the reference's geometry lookups as Ray Data join patterns
   — the engine's ``Raster.open(geometry=MultiPoint)`` / ``to_point``
   (raster.py:670-711, raster.py:1295-1322).
 - missed points (no image contains them) become NaN rows — the
-  reference's OOB->NaN semantics (raster.py:701-703).  On one cluster
-  CPU, over images whose schema the plan knows, the sampling and the
+  reference's OOB->NaN semantics (raster.py:701-703).  Over images Ray
+  knows to be empty (``util.known_rows``), every point is a miss row of
+  one in-memory block and no plan runs.  On one cluster CPU, over images
+  whose row count or schema the plan knows, the sampling and the
   anti-join are ONE task: a gather over every image block samples
-  zero-copy slices and emits the points no slice hit.  Otherwise the
-  matched rows and one marker row per point meet in one fused
-  anti-join exchange (``util.exchange``, one part per CPU).
+  zero-copy slices and emits the points no slice hit; only when Ray
+  cannot vouch that the images have rows does a pad row ride along.
+  Otherwise the matched rows and one marker row per point meet in one
+  fused anti-join exchange (``util.exchange``, one part per CPU).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from ..grids import cellkey
 from ..grids.covering import covering_rows, ragged
 from ..grids.windows import point_cells
 from ..proj import parse_crs, transform_xy
-from ..util import GATHER_ROWS, cluster_cpus, exchange, fetch
+from ..util import GATHER_ROWS, cluster_cpus, exchange, fetch, known_rows
 
 JOIN_SCHEMA = pa.schema(
     [
@@ -263,32 +266,45 @@ def sample_points(
     (deserialized once per worker). Misses (points no image contains)
     are appended as NaN rows (raster.py:701-703 semantics).
 
-    With misses, the plan follows the cluster's CPU count (the figure
-    ``util.exchange`` reads).  On one CPU it is one task after the
-    input: that task takes every image block (zero-copy), samples it in
-    ``batch_size``-image slices, so decoding holds no more than a batch
-    at a time, and appends the misses from the broadcast point index.
-    Its input is every image's bytes, where a gather of matched rows
-    would take only the rows; no byte bound caps it yet.  That plan
-    needs the images' schema when the dataset is built (a read or a
-    non-empty in-memory table has it, a map's output does not).
-    Without it, and on n > 1 CPUs, ``batch_size``-image tasks sample in
-    parallel and the anti-join is one exchange on ``point_id``.
+    With misses, the plan follows what Ray knows of the images without
+    executing anything (``util.known_rows``) and the cluster's CPU count
+    (the figure ``util.exchange`` reads).  Images known to have no rows
+    give one in-memory block of miss rows, with no task.  On one CPU the
+    plan is one task after the input: that task takes every image block
+    (zero-copy), samples it in ``batch_size``-image slices, so decoding
+    holds no more than a batch at a time, and appends the misses from
+    the broadcast point index.  Its input is every image's bytes, where
+    a gather of matched rows would take only the rows; no byte bound
+    caps it yet.  That plan needs the images' row count (a parquet read
+    or an in-memory table has it) or else their schema, for a pad row
+    that makes the task run over an input that turns out empty (a
+    filtered read has a schema but no count; a map's output has
+    neither).  Without either, and on n > 1 CPUs, ``batch_size``-image
+    tasks sample in parallel and the anti-join is one exchange on
+    ``point_id``.
     """
     import ray
     import ray.data as rd
 
     buckets = PointBuckets(points, level)
+    rows = known_rows(images_ds) if include_misses else None
+    if rows == 0:
+        # no image at all, and Ray knows it: every point is a miss, and
+        # no plan runs
+        return rd.from_blocks([with_misses(JOIN_SCHEMA.empty_table(), buckets.ids_arrow)])
     ref = ray.put(buckets)
 
     one_cpu = include_misses and cluster_cpus() == 1
-    schema = images_ds.schema(fetch_if_missing=False) if one_cpu else None
-    if schema is not None and isinstance(schema.base_schema, pa.Schema):
+    schema = images_ds.schema(fetch_if_missing=False) if one_cpu and rows is None else None
+    padded = schema is not None and isinstance(schema.base_schema, pa.Schema)
+    if one_cpu and (rows or padded):
         def sample_gather(images: pa.Table) -> pa.Table:
-            # drop the pad row: the one row with neither an id nor a grid
-            pad = pc.and_(pc.is_null(images.column("image_id")), pc.is_null(images.column("grid")))
-            i = int(np.flatnonzero(pad.to_numpy(zero_copy_only=False))[0])
-            images = pa.concat_tables([images.slice(0, i), images.slice(i + 1)])
+            if padded:
+                # drop the pad row: the one row with neither an id nor a grid
+                pad = pc.and_(pc.is_null(images.column("image_id")),
+                              pc.is_null(images.column("grid")))
+                i = int(np.flatnonzero(pad.to_numpy(zero_copy_only=False))[0])
+                images = pa.concat_tables([images.slice(0, i), images.slice(i + 1)])
             b = fetch(ref)
             matched = [sample_points_batch(images.slice(s, batch_size), b, level)
                        for s in range(0, images.num_rows, batch_size)]
@@ -296,14 +312,17 @@ def sample_points(
                                b.ids_arrow)
 
         # One gather task, like ``util.exchange``'s on one CPU.  Ray calls
-        # no UDF on an empty input, so one all-null pad row (dropped
-        # inside) makes the task run, and report every point as a miss,
-        # when there are no image rows at all.  The pad has the images'
-        # own schema: Ray cannot concatenate blocks whose columns differ
-        # next to a struct column such as ``grid``.
-        pad = pa.Table.from_arrays([pa.nulls(1, f.type) for f in schema.base_schema],
-                                   schema=schema.base_schema)
-        return images_ds.union(rd.from_arrow(pad)).map_batches(
+        # no UDF on an empty input, so where Ray cannot vouch that there
+        # are image rows, one all-null pad row (dropped inside) makes the
+        # task run, and report every point as a miss, when there are
+        # none.  The pad has the images' own schema: Ray cannot
+        # concatenate blocks whose columns differ next to a struct
+        # column such as ``grid``.
+        if padded:
+            pad = pa.Table.from_arrays([pa.nulls(1, f.type) for f in schema.base_schema],
+                                       schema=schema.base_schema)
+            images_ds = images_ds.union(rd.from_blocks([pad]))
+        return images_ds.map_batches(
             sample_gather, batch_size=GATHER_ROWS, concurrency=1, zero_copy_batch=True,
             batch_format="pyarrow")
 
@@ -343,4 +362,4 @@ def sample_points(
         return with_misses(part.filter(pc.invert(is_marker)),
                            part.filter(is_marker).column("point_id"))
 
-    return exchange([matched, rd.from_arrow(marker)], "point_id", finish)
+    return exchange([matched, rd.from_blocks([marker])], "point_id", finish)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import Optional
 
 import numpy as np
 
@@ -73,6 +74,15 @@ def cluster_cpus() -> int:
     import ray
 
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def known_rows(ds) -> Optional[int]:
+    """The row count of ``ds`` when Ray knows it without executing
+    anything, else None.  Ray 2.49.2's ``Dataset._meta_count`` (what
+    ``Dataset.count`` consults first) never executes: it is exact for
+    a parquet read, an in-memory table and ``limit(0)``, and None for a
+    map's output, ``select_columns`` or a ``read_parquet(filter=...)``."""
+    return ds._meta_count()
 
 
 def run_starts(*cols) -> np.ndarray:

@@ -4,11 +4,12 @@ The Tier-1 session has 4 CPUs, so ``exchange`` runs its n-part plan
 (hash tag + known-boundary sort) there.  The 1-part plan (one gather
 task: a ``concurrency=1`` map whose batch holds every row, no tag, no
 sort, no repartition) runs in a ``num_cpus=1`` session in a subprocess,
-which computes every case once and records the operators three of them
+which computes every case once and records the operators some of them
 executed (``one_cpu_results``).  Both plans must equal the same
 single-process reference.  On one CPU the point anti-join over images
-whose schema the plan knows is no exchange at all: it samples and
-emits its misses in one task.  ``__ray_entry__.entry()``'s join, whose
+whose row count or schema the plan knows is no exchange at all: it
+samples and emits its misses in one task, and over images Ray knows
+to be empty it runs no task.  ``__ray_entry__.entry()``'s join, whose
 images are a map's output, keeps the exchange there; it must give the
 same rows at 1 and at 4 CPUs.
 The checkpointed tiling job runs no exchange but sizes its tile
@@ -24,6 +25,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -50,7 +52,7 @@ from rasters_ray.stages.point_join import JOIN_SCHEMA, PointBuckets, sample_poin
 
 LEVEL = 8
 ANTI_JOIN_CASES = ["none_matched", "all_matched", "no_images", "split_blocks", "empty_read",
-                   "extra_columns"]
+                   "filtered_empty_read", "parquet_read", "extra_columns"]
 LATTICES = ["merge_mean", "mosaic_first", "mosaic_best"]
 COMPOSITES = ["merge_mean", "merge_mean_banded", "mosaic_first"]
 FLAGSHIP_IMAGES = 160
@@ -76,10 +78,10 @@ def anti_join_case(name: str):
     if name == "none_matched":
         return ([make_oracle_images(np.arange(4))],
                 _points(["a", "b", "c"], [(100.0, 0.0), (101.0, 1.0), (-50.0, -50.0)]), 64)
-    if name == "all_matched":
+    if name in ("all_matched", "parquet_read"):
         return ([make_oracle_images(np.arange(4))],
                 _points(["a", "b", "c"], [_center(0, 0, 0), _center(0, 3, 5), _center(1, 60, 70)]), 64)
-    if name in ("no_images", "empty_read"):
+    if name in ("no_images", "empty_read", "filtered_empty_read"):
         return ([make_oracle_images(np.arange(0))],
                 _points(["a", "b"], [_center(0, 0, 0), (100.0, 0.0)]), 64)
     if name == "extra_columns":
@@ -150,21 +152,47 @@ def executed_operators(ds) -> list:
     return _operators(ds.materialize()._get_stats_summary())
 
 
-def anti_join_ds(name: str):
+def anti_join_input(name: str, root: str = None):
+    """(image dataset, points, batch_size) of one case.  The read cases
+    write their images as parquet under ``root``, which must outlive
+    the dataset's execution."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     blocks, points, batch_size = anti_join_case(name)
-    ds = rd.from_arrow(blocks)
     if name == "empty_read":
-        # no rows, like a read whose filter keeps none, but unlike an
-        # empty in-memory table the plan knows its schema (a limit
-        # passes its input's on)
+        # no rows, and Ray knows it (a limit passes its count on)
         ds = rd.from_arrow(make_oracle_images(np.arange(2))).limit(0)
+    elif name in ("filtered_empty_read", "parquet_read"):
+        path = os.path.join(root, name)
+        os.makedirs(path)
+        pq.write_table(make_oracle_images(np.arange(4)), os.path.join(path, "images.parquet"))
+        # a filter that keeps no row: the plan knows the schema but no count
+        keep = pc.field("image_id") == "none" if name == "filtered_empty_read" else None
+        ds = rd.read_parquet(path, filter=keep)
+    else:
+        ds = rd.from_arrow(blocks)
+    return ds, points, batch_size
+
+
+def anti_join_ds(name: str, root: str = None):
+    ds, points, batch_size = anti_join_input(name, root)
     return sample_points(ds, points, level=LEVEL, include_misses=True, batch_size=batch_size)
 
 
 def run_anti_join(name: str) -> list:
-    return _rows(_table(anti_join_ds(name)))
+    with tempfile.TemporaryDirectory() as root:
+        return _rows(_table(anti_join_ds(name, root)))
+
+
+def one_cpu_plans(root: str) -> dict:
+    """Executed operators of the one-CPU plan steps the tests check."""
+    return {"anti_join": executed_operators(anti_join_ds("split_blocks")),
+            "anti_join_read": executed_operators(anti_join_ds("parquet_read", root)),
+            "anti_join_empty": executed_operators(anti_join_ds("empty_read")),
+            "anti_join_filtered_empty": executed_operators(
+                anti_join_ds("filtered_empty_read", root)),
+            "lattice": executed_operators(lattice_ds("merge_mean"))}
 
 
 def run_entry() -> str:
@@ -585,13 +613,12 @@ out = {"anti_join": {c: t.run_anti_join(c) for c in t.ANTI_JOIN_CASES},
        "lattice": {c: t.run_lattice(c) for c in t.LATTICES},
        "composite": {c: t.run_composite(c) for c in t.COMPOSITES},
        "entry": t.run_entry(),
-       "plan": {"anti_join": t.executed_operators(t.anti_join_ds("split_blocks")),
-                "anti_join_empty": t.executed_operators(t.anti_join_ds("empty_read")),
-                "lattice": t.executed_operators(t.lattice_ds("merge_mean"))},
        "empty_crosstab": t.run_empty_crosstab(),
        "operators": {name: t.run_operator(name) for name in t.OPERATORS},
        "queries": {name: t.run_query(name) for name in t.EXCHANGE_QUERIES},
        "exchange_property": t.exchange_property_result()}
+with tempfile.TemporaryDirectory() as root:
+    out["plan"] = t.one_cpu_plans(root)
 with tempfile.TemporaryDirectory() as root:
     out["flagship"] = t.run_flagship(root)
 print(json.dumps(out))
@@ -639,17 +666,45 @@ def test_one_part_plan_is_one_unfused_gather_task(one_cpu_results, step, upstrea
     assert upstream in names, names
 
 
-@pytest.mark.parametrize("step", ["anti_join", "anti_join_empty"])
+@pytest.mark.parametrize("step", ["anti_join", "anti_join_read", "anti_join_empty",
+                                  "anti_join_filtered_empty"])
 def test_one_part_point_sample_is_one_map_task(one_cpu_results, step):
     """On one CPU the sampling and the anti-join run in one task after
     the input: no separate sampling map, no gather, no repartition.
-    Over an input of no rows the pad row alone runs that task."""
+    Over images Ray knows have rows (an in-memory table, a parquet
+    read), that task runs straight on them, with no pad row and no
+    union.  Over a filtered read, whose schema Ray knows but not its
+    count, a pad row unioned on makes the task run.  Over images Ray
+    knows to be empty no task runs at all."""
     ops = one_cpu_results["plan"][step]
     names = [name for name, _ in ops]
+    maps = [op for op in ops if op[0].startswith("MapBatches")]
     assert not [name for name in names if name.startswith("Repartition")], names
-    assert "MapBatches(sample)" not in names, names
-    assert [op for op in ops if op[0].startswith("MapBatches")] == [ops[-1]], ops
-    assert ops[-1][1] == 1, ops
+    if step == "anti_join_empty":
+        assert not maps and all(tasks == 0 for _, tasks in ops), ops
+        return
+    assert maps == [["MapBatches(sample_gather)", 1]] and ops[-1] == maps[0], ops
+    unions = [name for name in names if name.startswith("Union")]
+    assert bool(unions) == (step == "anti_join_filtered_empty"), names
+
+
+def test_known_rows_never_executes(ray_session, tmp_path):
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from rasters_ray.util import known_rows
+
+    def boom(batch):
+        raise AssertionError("known_rows executed a map")
+
+    imgs = make_oracle_images(np.arange(3))
+    pq.write_table(imgs, str(tmp_path / "images.parquet"))
+    assert known_rows(rd.read_parquet(str(tmp_path))) == 3
+    assert known_rows(rd.from_arrow(imgs)) == 3
+    assert known_rows(rd.from_arrow(imgs).limit(0)) == 0
+    assert known_rows(rd.from_arrow(imgs).map_batches(boom, batch_format="pyarrow")) is None
+    filtered = rd.read_parquet(str(tmp_path), filter=pc.field("image_id") == "none")
+    assert known_rows(filtered) is None
 
 
 def test_entry_digest_agrees_across_plans(ray_session, one_cpu_results):
@@ -675,7 +730,7 @@ def test_exchange_over_empty_blocks_yields_no_rows_under_both_plans(ray_session,
     # Ray calls no map UDF on an empty block, so the gather never runs
     # ``fn`` here; it must still finish with zero rows, as the
     # ``repartition(1)`` it replaced did (the ``no_images`` anti-join
-    # case keeps its markers, so it is not empty).
+    # case emits its misses, so it is not empty).
     for blocks, n_pandas in (run_empty_crosstab(), one_cpu_results["empty_crosstab"]):
         assert sum(rows for rows, _ in blocks) == 0 and n_pandas == 0
         assert all(cols in ([], ["zone", "klass", "n_px"]) for _, cols in blocks), blocks
