@@ -3,18 +3,21 @@ as-of join, interval (range) join.
 
 Scale shapes
 ------------
-- ``hash_join``: ONE ``util.exchange`` of the two sides.  Each row is
-  tagged with the hash of its side's key columns (``_jh``, one shared
-  int64 column although the sides name their keys differently), the
-  exchange partitions both sides on it, and each partition joins its
-  two halves with the Acero hash join (``pyarrow.Table.join``,
-  single-threaded per task — Ray owns the parallelism).  Works for every
-  Acero join type (inner / left|right|full outer / semi / anti).  The
-  shuffle moves each row exactly once, and one partition task holds
-  1/CPUs of both sides: the whole union in a one-CPU session, where
-  the exchange is a single gather task.  No fixed fan-out bounds a
-  task's memory, so a side too large for one task per CPU needs more
-  CPUs (or ``broadcast_join`` when the other side is small).
+- ``hash_join``: ONE ``util.exchange`` that co-groups the two sides:
+  each side crosses in its own schema, partitioned on the hash of its
+  own key columns (equal keys hash equally although the sides name
+  them differently), and each partition joins its two halves with the
+  Acero hash join (``pyarrow.Table.join``, single-threaded per task —
+  Ray owns the parallelism).  Works for every Acero join type (inner /
+  left|right|full outer / semi / anti).  The shuffle moves each row
+  exactly once, and one partition task holds 1/CPUs of both sides: the
+  whole of both in a one-CPU session, where the exchange is a single
+  gather task.  No fixed fan-out bounds a task's memory, so a side too
+  large for one task per CPU needs more CPUs (or ``broadcast_join``
+  when the other side is small).  A side with no rows at all reaches
+  the partitions as None (``util.exchange``), and the join gives what
+  its type implies without the absent side's columns
+  (``_join_absent``).
 - ``broadcast_join``: zero-shuffle path for a small right side — the
   driver ``ray.put``s the table once, every map task joins its batch
   against the copy ``util.fetch`` deserializes once per worker.
@@ -40,8 +43,8 @@ Why not ``ray.data.Dataset.join``: the 2.49 native join is an alpha
 hash-shuffle operator that spawns one aggregator ACTOR per partition —
 measured here (64 partitions, 8 CPUs, sf0.1 lineitem ⋈ orders) it
 ballooned past 100 worker processes and did not finish in 2 minutes,
-while the union + exchange path (the engine's one shuffle primitive,
-a known-boundary sort of hash-tagged rows) completed in ~4 s.  Revisit
+while the exchange path (the engine's one shuffle primitive, a
+known-boundary sort of hash-partitioned rows) completed in ~4 s.  Revisit
 when the native operator stabilizes.
 """
 
@@ -51,9 +54,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from rasters_ray.util import exchange, fetch, hash_cols
-
-_RPREFIX = "__r_"
+from rasters_ray.util import exchange, fetch
 
 
 def _ts_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -65,64 +66,25 @@ def _ts_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return col.cast(pa.int64()).to_numpy()
 
 
-def _base_schema(ds) -> pa.Schema:
-    """The schema of one join side.  ``Dataset.schema()`` runs an
-    unexecuted pipeline far enough to see one block, so each operator
-    asks once per side and passes the (left, right) pair down."""
-    sch = ds.schema()
-    if sch is None:
-        raise ValueError(
-            "dataset schema unavailable (e.g. an empty dataset after a "
-            "shuffle); joins need a typed schema on both sides"
-        )
-    return getattr(sch, "base_schema", sch)
+def _keys(cols) -> list:
+    return [cols] if isinstance(cols, str) else list(cols)
 
 
-def _tag_sides(left_ds, right_ds, left_key_col, right_key_col, schemas):
-    """Tag both sides into one shared layout -> ([left, right] tagged
-    datasets, left names, right names), the inputs of one ``exchange``.
-
-    Shared schema = left columns ++ ``__r_``-prefixed right columns ++
-    ``_side`` (int8) ++ ``_jh`` (int64: ``util.hash_cols`` of the side's
-    key columns; keys may be a single column name or a list, and equal
-    keys hash equally on both sides).  The other side's columns ride as
-    typed nulls (validity-bitmap only until a partition materializes
-    them).  ``schemas`` is the (left, right) pair of ``_base_schema``."""
-    lkeys = [left_key_col] if isinstance(left_key_col, str) else list(left_key_col)
-    rkeys = [right_key_col] if isinstance(right_key_col, str) else list(right_key_col)
-    lsch, rsch = schemas
-    lnames = list(lsch.names)
-    rnames = list(rsch.names)
-    union_names = lnames + [_RPREFIX + n for n in rnames] + ["_side", "_jh"]
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = [t.column(nm) for nm in lnames]
-        cols += [pa.nulls(n, rsch.field(nm).type) for nm in rnames]
-        cols.append(pa.array(np.zeros(n, np.int8), pa.int8()))
-        cols.append(pa.array(hash_cols(t, lkeys).view(np.int64)))
-        return pa.Table.from_arrays(cols, names=union_names)
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        cols = [pa.nulls(n, lsch.field(nm).type) for nm in lnames]
-        cols += [t.column(nm) for nm in rnames]
-        cols.append(pa.array(np.ones(n, np.int8), pa.int8()))
-        cols.append(pa.array(hash_cols(t, rkeys).view(np.int64)))
-        return pa.Table.from_arrays(cols, names=union_names)
-
-    sides = [left_ds.map_batches(tag_left, batch_format="pyarrow"),
-             right_ds.map_batches(tag_right, batch_format="pyarrow")]
-    return sides, lnames, rnames
-
-
-def _split_sides(group: pa.Table, lnames, rnames):
-    side = group.column("_side").to_numpy(zero_copy_only=False)
-    lmask = pa.array(side == 0)
-    left_t = group.filter(lmask).select(lnames)
-    right_t = group.filter(pc.invert(lmask)).select([_RPREFIX + n for n in rnames])
-    right_t = right_t.rename_columns(rnames)
-    return left_t, right_t
+def _join_absent(left_t, right_t, how: str):
+    """The join of a present side with an absent one (None: a side with
+    no rows at all, whose columns nothing knows): an anti join keeping
+    the present side returns it, and every other join that needs no
+    column of the absent side has no rows (a zero-column table).  An
+    outer join that keeps the present side's rows needs the absent
+    side's columns, and raises ValueError."""
+    absent, kept = ("left", right_t) if left_t is None else ("right", left_t)
+    present = "right" if absent == "left" else "left"
+    if how == f"{present} anti":
+        return kept
+    if how in ("full outer", f"{present} outer"):
+        raise ValueError(f"a {how} join needs the {absent} side's columns, "
+                         f"and the {absent} side has no rows")
+    return pa.table({})
 
 
 def hash_join(
@@ -147,28 +109,26 @@ def hash_join(
     output collapses before it ever hits the object store, instead of
     shipping the full join result to a second pass.  Like every
     ``util.exchange`` function, ``post`` also sees zero-row joins and
-    returns their typed empty result."""
-    return _hash_join(left_ds, right_ds, on, right_on or on, how, right_suffix, post)
+    returns their typed empty result.  A side with no rows at all gives
+    what ``how`` implies (``_join_absent``): the left side of a left
+    anti join, no rows (no columns, no ``post``) for an inner or semi
+    join, and ValueError for an outer join that needs its columns."""
+    lkeys, rkeys = _keys(on), _keys(right_on or on)
 
-
-def _hash_join(left_ds, right_ds, on, right_on, how, right_suffix, post, schemas=None):
-    """``hash_join`` with the sides' (left, right) schemas when known."""
-    schemas = schemas or (_base_schema(left_ds), _base_schema(right_ds))
-    sides, lnames, rnames = _tag_sides(left_ds, right_ds, on, right_on, schemas)
-
-    def join_part(part: pa.Table) -> pa.Table:
-        left_t, right_t = _split_sides(part, lnames, rnames)
-        joined = left_t.join(
-            right_t,
-            keys=[on] if isinstance(on, str) else list(on),
-            right_keys=[right_on] if isinstance(right_on, str) else list(right_on),
-            join_type=how,
-            right_suffix=right_suffix,
-            use_threads=False,  # one Ray CPU per task; Ray owns parallelism
-        )
+    def join_part(left_t, right_t) -> pa.Table:
+        if left_t is None or right_t is None:
+            joined = _join_absent(left_t, right_t, how)
+            if not joined.num_columns:
+                return joined
+        else:
+            joined = left_t.join(
+                right_t, keys=lkeys, right_keys=rkeys, join_type=how,
+                right_suffix=right_suffix,
+                use_threads=False,  # one Ray CPU per task; Ray owns parallelism
+            )
         return post(joined) if post is not None else joined
 
-    return exchange(sides, "_jh", join_part)
+    return exchange([left_ds, right_ds], (lkeys, rkeys), join_part)
 
 
 def broadcast_join(
@@ -189,8 +149,8 @@ def broadcast_join(
     def join_batch(t: pa.Table) -> pa.Table:
         return t.join(
             fetch(ref),
-            keys=[on] if isinstance(on, str) else list(on),
-            right_keys=[right_on] if isinstance(right_on, str) else list(right_on),
+            keys=_keys(on),
+            right_keys=_keys(right_on),
             join_type=how,
             right_suffix=right_suffix,
             use_threads=False,
@@ -199,9 +159,7 @@ def broadcast_join(
     return left_ds.map_batches(join_batch, batch_format="pyarrow")
 
 
-def _asof_part(
-    group: pa.Table, lnames, rnames, by, left_ts, right_ts, value_cols, tolerance
-):
+def _asof_part(left_t, right_t, by, left_ts, right_ts, value_cols, tolerance):
     """Vectorized as-of match inside one hash partition.
 
     Dense-code the union of key values, lexsort both halves by
@@ -209,22 +167,14 @@ def _asof_part(
     (int64-safe: codes are per-partition dense, span is the partition's
     ts range) finds, for every left row, the last right row with
     ``r.ts <= l.ts`` and the same key."""
-    left_t, right_t = _split_sides(group, lnames, rnames)
     lk = left_t.column(by).to_numpy(zero_copy_only=False).astype(np.int64)
     lt = _ts_i64(left_t.column(left_ts))
     rk = right_t.column(by).to_numpy(zero_copy_only=False).astype(np.int64)
     rt = _ts_i64(right_t.column(right_ts))
 
-    out_cols = {nm: left_t.column(nm) for nm in lnames}
+    out_cols = {nm: left_t.column(nm) for nm in left_t.column_names}
     nl, nr = len(lk), len(rk)
-    if nl == 0:
-        return pa.Table.from_pydict(
-            {
-                **{nm: left_t.column(nm) for nm in lnames},
-                **{v: pa.nulls(0, right_t.schema.field(v).type) for v in value_cols},
-            }
-        )
-    if nr == 0:
+    if nl == 0 or nr == 0:
         for v in value_cols:
             out_cols[v] = pa.nulls(nl, right_t.schema.field(v).type)
         return pa.Table.from_pydict(out_cols)
@@ -280,21 +230,22 @@ def asof_join(
     ``right.ts <= left.ts`` (nulls when none; optional ``tolerance`` in
     ts ticks).  Matches DuckDB ``ASOF LEFT JOIN`` semantics.
 
-    One exchange of the union on hash(``by``); the per-partition kernel
-    is a single composite-rank searchsorted (see ``_asof_part``).
+    One exchange co-grouping both sides on hash(``by``); the
+    per-partition kernel is a single composite-rank searchsorted (see
+    ``_asof_part``).  ``value_cols`` defaults to the right side's
+    columns other than ``by`` and ``right_on``; a right side with no
+    rows at all raises ValueError (``_join_absent``).
     """
     right_on = right_on or on
-    schemas = (_base_schema(left_ds), _base_schema(right_ds))
-    if value_cols is None:
-        value_cols = [n for n in schemas[1].names if n not in (by, right_on)]
-    sides, lnames, rnames = _tag_sides(left_ds, right_ds, by, by, schemas)
 
-    def part(group: pa.Table) -> pa.Table:
-        return _asof_part(
-            group, lnames, rnames, by, on, right_on, value_cols, tolerance
-        )
+    def part(left_t, right_t) -> pa.Table:
+        if left_t is None or right_t is None:
+            return _join_absent(left_t, right_t, "left outer")
+        cols = value_cols if value_cols is not None else [
+            n for n in right_t.column_names if n not in (by, right_on)]
+        return _asof_part(left_t, right_t, by, on, right_on, cols, tolerance)
 
-    return exchange(sides, "_jh", part)
+    return exchange([left_ds, right_ds], by, part)
 
 
 def interval_join(
@@ -459,12 +410,9 @@ def skew_join(
         right_on=right_on,
         right_suffix=right_suffix,
     )
-    # the cold filters keep each side's schema: take it from the inputs,
-    # so no schema() call runs the unexecuted filtered pipelines
-    cold_joined = _hash_join(
+    cold_joined = hash_join(
         left_ds.map_batches(left_cold, batch_format="pyarrow"),
         right_ds.map_batches(right_cold, batch_format="pyarrow"),
-        on, right_on, how="inner", right_suffix=right_suffix, post=None,
-        schemas=(_base_schema(left_ds), _base_schema(right_ds)),
+        on=on, right_on=right_on, how="inner", right_suffix=right_suffix,
     )
     return hot_joined.union(cold_joined)

@@ -114,19 +114,8 @@ def winsorized_stats(ds, col: str, group_col: str, p_lo: float, p_hi: float):
     cuts = exact_quantiles(ds, col, [p_lo, p_hi])
     vals = cuts.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
     lo, hi = float(vals.min()), float(vals.max())
-    key_type = ds.schema().base_schema.field(group_col).type
 
     def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "k": pa.array([], key_type),
-                    "n": pa.array([], pa.int64()),
-                    "n_lo": pa.array([], pa.int64()),
-                    "n_hi": pa.array([], pa.int64()),
-                    "sum_clipped_cents": pa.array([], pa.int64()),
-                }
-            )
         g = t.column(group_col).to_numpy(zero_copy_only=False)
         v = t.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
         clipped = np.clip(v, lo, hi)
@@ -139,7 +128,7 @@ def winsorized_stats(ds, col: str, group_col: str, p_lo: float, p_hi: float):
         np.add.at(s, inv, cents)
         return pa.table(
             {
-                "k": pa.array(uniq, key_type),
+                "k": pa.array(uniq, t.schema.field(group_col).type),
                 "n": pa.array(n, pa.int64()),
                 "n_lo": pa.array(n_lo, pa.int64()),
                 "n_hi": pa.array(n_hi, pa.int64()),

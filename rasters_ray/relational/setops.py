@@ -4,11 +4,11 @@ The reference has no table set operators (SURVEY §2.7: its set ops are
 pixel-mask booleans, ``/root/reference/rasters/raster.py:410-468``); a
 complete engine needs the relational trio.  All three are ONE shuffle:
 
-  * tag each side's rows with a side bit, pre-reduce per (block, key) to
-    (key, seen_a, seen_b) — the combiner collapses duplicate keys before
-    anything crosses the wire;
-  * exchange on the key (`rasters_ray.util.exchange`, the engine's one
-    shuffle) and OR the seen bits per key;
+  * pre-reduce each side's blocks to their distinct keys — the combiner
+    collapses duplicate keys before anything crosses the wire;
+  * co-group both sides on the key (`rasters_ray.util.exchange`, the
+    engine's one shuffle), so each partition sees which of its keys
+    each side holds;
   * emit keys where the predicate holds: a|b (union), a&b (intersect),
     a&~b (except).
 
@@ -47,43 +47,31 @@ def set_op(
     key_col_b = key_col_b or key_col_a
     out_col = out_col or key_col_a
 
-    def tagger(col: str, is_a: bool):
-        def tag(t: pa.Table) -> pa.Table:
-            keys = t.column(col)
-            if keys.null_count:
+    def distinct(col: str):
+        def keys(t: pa.Table) -> pa.Table:
+            k = t.column(col)
+            if k.null_count:
                 # null keys are EXCLUDED (np.unique cannot order None;
                 # SQL set ops would treat NULL as one regular member —
                 # COALESCE to a sentinel upstream to keep them)
-                keys = keys.drop_null()
-            v = keys.to_numpy(zero_copy_only=False)
-            uniq = np.unique(v)
+                k = k.drop_null()
             # explicit type so EMPTY blocks don't degrade to null arrays
             # (string keys -> object dtype -> pa.array([]) would be null)
-            arr = pa.array(uniq, type=keys.type)
-            return pa.table(
-                {
-                    "k": arr,
-                    "a": pa.array(np.full(len(uniq), is_a), pa.bool_()),
-                    "b": pa.array(np.full(len(uniq), not is_a), pa.bool_()),
-                }
-            )
+            return pa.table({"k": pa.array(np.unique(k.to_numpy(zero_copy_only=False)), k.type)})
 
-        return tag
+        return keys
 
     pred = _PREDICATES[op]
 
-    def reduce_part(group: pa.Table) -> pa.Table:
-        k = group.column("k").to_numpy(zero_copy_only=False)
-        a = group.column("a").to_numpy(zero_copy_only=False)
-        b = group.column("b").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(k, return_inverse=True)
-        seen_a = np.zeros(len(uniq), bool)
-        seen_b = np.zeros(len(uniq), bool)
-        np.logical_or.at(seen_a, inv, a)
-        np.logical_or.at(seen_b, inv, b)
-        keep = pred(seen_a, seen_b)
-        return pa.table({out_col: pa.array(uniq[keep], group.schema.field("k").type)})
+    def reduce_part(a, b) -> pa.Table:
+        # a side with no rows at all holds no key
+        ka, kb = (np.unique(t.column("k").to_numpy(zero_copy_only=False)) if t is not None
+                  else np.empty(0) for t in (a, b))
+        uniq = np.union1d(ka, kb)
+        keep = pred(np.isin(uniq, ka), np.isin(uniq, kb))
+        ty = (a if a is not None else b).schema.field("k").type
+        return pa.table({out_col: pa.array(uniq[keep], ty)})
 
-    tagged = [ds_a.map_batches(tagger(key_col_a, True), batch_format="pyarrow"),
-              ds_b.map_batches(tagger(key_col_b, False), batch_format="pyarrow")]
-    return exchange(tagged, "k", reduce_part)
+    sides = [ds_a.map_batches(distinct(key_col_a), batch_format="pyarrow"),
+             ds_b.map_batches(distinct(key_col_b), batch_format="pyarrow")]
+    return exchange(sides, "k", reduce_part)

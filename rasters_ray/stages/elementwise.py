@@ -139,31 +139,26 @@ def zip_apply(
     """Align two image datasets on ``key`` and apply a binary pixel op —
     e.g. fill (isnan(a) -> b, raster.py:1920-1924) or masked difference.
 
-    Implemented as one ``util.exchange`` of the union on ``key`` (a
-    co-shuffle hash join; no broadcast side, both sides may be large).
-    A key with exactly one row on each side gives one output row (A's
-    columns and ``_side``, with the result's pixels); any other key drops
+    Implemented as one ``util.exchange`` co-grouping both sides on
+    ``key`` (a co-shuffle hash join; no broadcast side, both sides may be
+    large).  A key with exactly one row on each side gives one output row
+    (A's columns, with the result's pixels); any other key drops
     (inner)."""
     import pyarrow.compute as pc
 
-    a_tag = a_ds.map_batches(
-        lambda t: t.append_column("_side", pa.array([0] * t.num_rows, pa.int8())),
-        batch_format="pyarrow",
-    )
-    b_tag = b_ds.map_batches(
-        lambda t: t.append_column("_side", pa.array([1] * t.num_rows, pa.int8())),
-        batch_format="pyarrow",
-    )
+    def single(t: pa.Table) -> pa.Table:
+        """The rows of ``t`` whose key no other row of ``t`` has."""
+        n = t.group_by(key).aggregate([(key, "count")])
+        return t.filter(pc.is_in(t.column(key), value_set=n.filter(
+            pc.equal(n.column(f"{key}_count"), 1)).column(key)))
 
-    def combine(part: pa.Table) -> pa.Table:
-        per_key = part.group_by(key).aggregate([("_side", "count"), ("_side", "sum")])
-        pairs = per_key.filter(pc.and_(pc.equal(per_key.column("_side_count"), 2),
-                                       pc.equal(per_key.column("_side_sum"), 1))).column(key)
-        # one A row then one B row per matched key
-        both = part.filter(pc.is_in(part.column(key), value_set=pairs)).sort_by(
-            [(key, "ascending"), ("_side", "ascending")])
-        out = both.take(pa.array(np.arange(0, both.num_rows, 2)))
-        b = both.take(pa.array(np.arange(1, both.num_rows, 2)))
+    def combine(a: pa.Table, b: pa.Table) -> pa.Table:
+        if a is None or b is None:  # a side with no rows at all: no key has both
+            return a.slice(0, 0) if a is not None else pa.table({})
+        a, b = single(a), single(b)
+        # one A row and one B row per matched key, in key order
+        out = a.filter(pc.is_in(a.column(key), value_set=b.column(key))).sort_by(key)
+        b = b.filter(pc.is_in(b.column(key), value_set=a.column(key))).sort_by(key)
         res = [codec.encode(fn(codec.decode(ba, fa), codec.decode(bb, fb)).astype(np.float32), "npy")
                for ba, fa, bb, fb in zip(out.column("bytes").to_pylist(), out.column("fmt").to_pylist(),
                                          b.column("bytes").to_pylist(), b.column("fmt").to_pylist())]
@@ -171,7 +166,7 @@ def zip_apply(
         return out.set_column(out.column_names.index("fmt"), "fmt",
                               pa.array(["npy"] * out.num_rows, pa.string()))
 
-    return exchange([a_tag, b_tag], key, combine)
+    return exchange([a_ds, b_ds], key, combine)
 
 
 def fill_from(a_ds, b_ds, key: str = "image_id"):

@@ -19,12 +19,11 @@ Re-expresses the reference's geometry lookups as Ray Data join patterns
   reference's OOB->NaN semantics (raster.py:701-703).  Over images Ray
   knows to be empty (``util.known_rows``), every point is a miss row of
   one in-memory block and no plan runs.  On one cluster CPU, over images
-  whose row count or schema the plan knows, the sampling and the
-  anti-join are ONE task: a gather over every image block samples
-  zero-copy slices and emits the points no slice hit; only when Ray
-  cannot vouch that the images have rows does a pad row ride along.
-  Otherwise the matched rows and one marker row per point meet in one
-  fused anti-join exchange (``util.exchange``, one part per CPU).
+  Ray knows to have rows, the sampling and the anti-join are ONE task:
+  a gather over every image block samples zero-copy slices and emits
+  the points no slice hit.  Otherwise the matched rows and the point
+  ids meet in one anti-join exchange that co-groups them
+  (``util.exchange``, one part per CPU).
 """
 
 from __future__ import annotations
@@ -269,17 +268,15 @@ def sample_points(
     With misses, the plan follows what Ray knows of the images without
     executing anything (``util.known_rows``) and the cluster's CPU count
     (the figure ``util.exchange`` reads).  Images known to have no rows
-    give one in-memory block of miss rows, with no task.  On one CPU the
-    plan is one task after the input: that task takes every image block
-    (zero-copy), samples it in ``batch_size``-image slices, so decoding
-    holds no more than a batch at a time, and appends the misses from
-    the broadcast point index.  Its input is every image's bytes, where
-    a gather of matched rows would take only the rows; no byte bound
-    caps it yet.  That plan needs the images' row count (a parquet read
-    or an in-memory table has it) or else their schema, for a pad row
-    that makes the task run over an input that turns out empty (a
-    filtered read has a schema but no count; a map's output has
-    neither).  Without either, and on n > 1 CPUs, ``batch_size``-image
+    give one in-memory block of miss rows, with no task.  On one CPU,
+    over images known to have rows (a parquet read or an in-memory
+    table), the plan is one task after the input: that task takes every
+    image block (zero-copy), samples it in ``batch_size``-image slices,
+    so decoding holds no more than a batch at a time, and appends the
+    misses from the broadcast point index.  Its input is every image's
+    bytes, where a gather of matched rows would take only the rows; no
+    byte bound caps it yet.  Over images of unknown count (a filtered
+    read, a map's output), and on n > 1 CPUs, ``batch_size``-image
     tasks sample in parallel and the anti-join is one exchange on
     ``point_id``.
     """
@@ -294,34 +291,16 @@ def sample_points(
         return rd.from_blocks([with_misses(JOIN_SCHEMA.empty_table(), buckets.ids_arrow)])
     ref = ray.put(buckets)
 
-    one_cpu = include_misses and cluster_cpus() == 1
-    schema = images_ds.schema(fetch_if_missing=False) if one_cpu and rows is None else None
-    padded = schema is not None and isinstance(schema.base_schema, pa.Schema)
-    if one_cpu and (rows or padded):
+    if rows and cluster_cpus() == 1:
         def sample_gather(images: pa.Table) -> pa.Table:
-            if padded:
-                # drop the pad row: the one row with neither an id nor a grid
-                pad = pc.and_(pc.is_null(images.column("image_id")),
-                              pc.is_null(images.column("grid")))
-                i = int(np.flatnonzero(pad.to_numpy(zero_copy_only=False))[0])
-                images = pa.concat_tables([images.slice(0, i), images.slice(i + 1)])
             b = fetch(ref)
             matched = [sample_points_batch(images.slice(s, batch_size), b, level)
                        for s in range(0, images.num_rows, batch_size)]
             return with_misses(pa.concat_tables([JOIN_SCHEMA.empty_table(), *matched]),
                                b.ids_arrow)
 
-        # One gather task, like ``util.exchange``'s on one CPU.  Ray calls
-        # no UDF on an empty input, so where Ray cannot vouch that there
-        # are image rows, one all-null pad row (dropped inside) makes the
-        # task run, and report every point as a miss, when there are
-        # none.  The pad has the images' own schema: Ray cannot
-        # concatenate blocks whose columns differ next to a struct
-        # column such as ``grid``.
-        if padded:
-            pad = pa.Table.from_arrays([pa.nulls(1, f.type) for f in schema.base_schema],
-                                       schema=schema.base_schema)
-            images_ds = images_ds.union(rd.from_blocks([pad]))
+        # One gather task, like ``util.exchange``'s on one CPU; Ray
+        # vouches that the images have rows, so the task runs.
         return images_ds.map_batches(
             sample_gather, batch_size=GATHER_ROWS, concurrency=1, zero_copy_batch=True,
             batch_format="pyarrow")
@@ -335,31 +314,19 @@ def sample_points(
     if not include_misses:
         return matched
 
-    # The anti-join FUSED into one exchange: union(matched rows, one
-    # marker row per point), hash-exchanged on point_id into one part
-    # per CPU (one gather task on one CPU).  Inside each part
-    # (vectorized, no per-key Python) the matched rows pass through
-    # unchanged and markers whose point_id never matched emit the NaN
-    # miss row.  The sampling stage executes exactly ONCE, nothing is
-    # materialized, and no id set ever reaches the driver — the
-    # distributed form of a left-anti join, specialised so the matched
-    # stream is consumed a single time.
-    n_pts = points.num_rows
-    marker = pa.Table.from_arrays(
-        [
-            points.column("point_id").cast(pa.string()).combine_chunks(),
-            pa.nulls(n_pts, pa.string()),
-            pa.nulls(n_pts, pa.int32()),
-            pa.nulls(n_pts, pa.int32()),
-            pa.nulls(n_pts, pa.float64()),
-            pa.nulls(n_pts, pa.bool_()),  # inside NULL marks a marker row
-        ],
-        schema=JOIN_SCHEMA,
-    )
+    # The anti-join FUSED into one exchange that co-groups the matched
+    # rows and the point ids on point_id, one part per CPU (one gather
+    # task on one CPU).  Inside each part (vectorized, no per-key
+    # Python) the matched rows pass through unchanged and each point id
+    # that never matched emits the NaN miss row; where no image matched
+    # at all, the matched side is None.  The sampling stage executes
+    # exactly ONCE, nothing is materialized, and no id set ever reaches
+    # the driver — the distributed form of a left-anti join,
+    # specialised so the matched stream is consumed a single time.
+    ids = pa.table({"point_id": buckets.ids_arrow})
 
-    def finish(part: pa.Table) -> pa.Table:
-        is_marker = pc.is_null(part.column("inside"))
-        return with_misses(part.filter(pc.invert(is_marker)),
-                           part.filter(is_marker).column("point_id"))
+    def finish(matched: pa.Table, ids: pa.Table) -> pa.Table:
+        return with_misses(JOIN_SCHEMA.empty_table() if matched is None else matched,
+                           ids.column("point_id"))
 
-    return exchange([matched, rd.from_blocks([marker])], "point_id", finish)
+    return exchange([matched, rd.from_blocks([ids])], "point_id", finish)

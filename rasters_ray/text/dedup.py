@@ -31,7 +31,6 @@ from typing import List, Set, Tuple
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from rasters_ray.util import exchange
 
@@ -306,24 +305,16 @@ def exact_verify_pairs(
     set_fn=None,
 ):
     """Distributed exact verification of a candidate-pair Dataset[(a, b)]
-    against the corpus: ONE exchange of the union on the doc id that both
-    dedups duplicate candidate pairs and stamps each pair side with its
-    text (implicit, fully distributed semi-filter — every text crosses
-    the wire exactly once), then an exchange on the pair computing exact
-    Jaccard over ``set_fn(text)`` with a per-partition set cache.  Shared
-    by the MinHash (char-shingle sets) and prefix-filter (word-token
-    sets) near-dup paths — they differ only in candidate generation.
-    Nothing touches the driver."""
+    against the corpus: ONE exchange co-grouping the pair sides with the
+    docs on the doc id, which both dedups duplicate candidate pairs and
+    stamps each pair side with its text (implicit, fully distributed
+    semi-filter — every text crosses the wire exactly once), then an
+    exchange on the pair computing exact Jaccard over ``set_fn(text)``
+    with a per-partition set cache.  Shared by the MinHash (char-shingle
+    sets) and prefix-filter (word-token sets) near-dup paths — they
+    differ only in candidate generation.  Nothing touches the driver."""
     if set_fn is None:
         set_fn = char_shingles
-    id_type = None
-    for f in docs_ds.schema().base_schema:  # parquet schema: known lazily
-        if f.name == id_col:
-            id_type = f.type
-    if id_type is None:
-        id_type = pa.int64()
-
-    union_cols = ["a", "b", "side", "__key", "__text"]
 
     def explode_sides(t: pa.Table) -> pa.Table:
         """Each pair -> two keyed side rows (side 0 keyed by a, side 1 by
@@ -331,37 +322,19 @@ def exact_verify_pairs(
         n = t.num_rows
         a = t.column("a").combine_chunks()
         b = t.column("b").combine_chunks()
-        key = pa.chunked_array([a, b])
-        out = pa.table(
-            {
-                "a": pa.chunked_array([a, a]),
-                "b": pa.chunked_array([b, b]),
-                "side": pa.array(
-                    np.r_[np.zeros(n, np.int8), np.ones(n, np.int8)], pa.int8()
-                ),
-                "__key": key,
-                "__text": pa.nulls(2 * n, pa.string()),
-            }
-        )
-        return out.select(union_cols)
+        return pa.table({
+            "a": pa.chunked_array([a, a]),
+            "b": pa.chunked_array([b, b]),
+            "side": pa.array(np.r_[np.zeros(n, np.int8), np.ones(n, np.int8)], pa.int8()),
+            "__key": pa.chunked_array([a, b]),
+        })
 
-    def tag_docs(t: pa.Table) -> pa.Table:
-        key = t.column(id_col)
-        return pa.table(
-            {
-                "a": pa.nulls(t.num_rows, id_type),
-                "b": pa.nulls(t.num_rows, id_type),
-                "side": pa.nulls(t.num_rows, pa.int8()),
-                "__key": key,
-                "__text": t.column(text_col).cast(pa.string()),
-            }
-        ).select(union_cols)
-
-    def attach_part(group: pa.Table) -> pa.Table:
-        """One exchange partition of the union: doc rows (side null) feed an
-        id->text dict; pair-side rows pick their text from it. Docs that
-        appear in no candidate pair drop here — the semi-filter is
-        implicit, distributed, and costs nothing extra.
+    def attach_part(pr: pa.Table, docs: pa.Table) -> pa.Table:
+        """One exchange partition: the pair-side rows and the docs of the
+        same ids.  The docs feed an id->text dict; pair-side rows pick
+        their text from it.  Docs that appear in no candidate pair drop
+        here — the semi-filter is implicit, distributed, and costs
+        nothing extra.
 
         Duplicate candidate pairs (the same pair colliding in several
         bands) also dedup HERE rather than in a dedicated groupby(a, b)
@@ -369,13 +342,11 @@ def exact_verify_pairs(
         __key, so all copies land in this partition — a local
         first-occurrence cut is exactly equivalent to the global pair
         dedup, one all-to-all cheaper."""
-        isdoc = pc.is_null(group.column("side")).combine_chunks().to_numpy(
-            zero_copy_only=False
-        )
-        keys = group.column("__key").to_pylist()
-        texts = group.column("__text").to_pylist()
-        lookup = {k: (x or "") for k, x, d in zip(keys, texts, isdoc) if d}
-        pr = group.filter(pa.array(~isdoc))
+        if pr is None:  # no candidate pair at all
+            return pa.table({})
+        lookup = {} if docs is None else {
+            k: (x or "") for k, x in zip(docs.column(id_col).to_pylist(),
+                                         docs.column(text_col).to_pylist())}
         a = pr.column("a").to_pylist()
         b = pr.column("b").to_pylist()
         s = pr.column("side").to_pylist()
@@ -397,8 +368,8 @@ def exact_verify_pairs(
         )
 
     sides = [pairs.map_batches(explode_sides, batch_format="pyarrow"),
-             docs_ds.select_columns([id_col, text_col]).map_batches(tag_docs, batch_format="pyarrow")]
-    attached = exchange(sides, "__key", attach_part)
+             docs_ds.select_columns([id_col, text_col])]
+    attached = exchange(sides, ("__key", id_col), attach_part)
 
     def verify_part(group: pa.Table) -> pa.Table:
         """One exchange partition of pairs: regroup side rows by (a, b) and

@@ -106,72 +106,137 @@ GATHER_ROWS = 1 << 62
 
 
 def exchange(ds, keys, fn):
-    """The engine's one hash shuffle: ``fn(part)`` runs once per
-    partition and sees every row of each key in that partition, in no
-    particular order, with the input's columns.  ``ds`` is one dataset
-    or a list of datasets with one schema (e.g. the two tagged sides of
-    a join), whose union is shuffled: pass the list rather than a
-    ``union`` of it, so each input's tag map fuses into its own last map
-    instead of copying the whole union once more.
+    """The engine's one hash shuffle: ``fn`` runs once per partition and
+    sees every row of each key in that partition, in no particular
+    order.  ``ds`` is one dataset, whose rows ``fn(part)`` gets with the
+    input's columns, or a list of datasets that are CO-GROUPED:
+    ``fn(*parts)`` gets one table per input, each in its own input's
+    schema, so the inputs may differ in schema and in the names of their
+    keys.  ``keys`` is one key spec (a column name or a list of them)
+    for every input, or a tuple with one spec per input; equal keys land
+    in one partition whatever their names (``hash_cols``).
 
     The part count ``n`` is the cluster's CPU count, read when the
     dataset is built.  Two plans:
 
     - ``n == 1``: one gather task — a ``map_batches`` whose batch holds
-      every row (``GATHER_ROWS``) runs ``fn`` once over the whole
-      dataset, with no repartition, hash tag, sort or boundary
-      sampling; the batch is a zero-copy view of the input blocks, not
-      a copy of every row (``fn`` only reads Arrow).  Its
+      every row (``GATHER_ROWS``) runs ``fn`` once over the whole input,
+      with no repartition, hash tag, sort or boundary sampling.  Its
       ``concurrency=1`` task pool keeps Ray from fusing it into the
-      upstream map, so upstream stages still stream, one task per
-      batch, instead of one task holding every input;
-    - ``n > 1``: each row is tagged with its part, the hash of its key
-      columns (``hash_cols``) mod ``n``, and sorted on the tag with the
-      known boundaries, so Ray skips its sampling pass and returns
-      exactly ``n`` blocks.  Every tagging task also appends one
-      all-null PAD row per part, so no partition reaches the final map
-      empty: Ray skips its UDF on an empty block and emits a
-      zero-column one instead.  The one int16 column ``_part`` holds
-      ``2 * part`` for a row and ``2 * part + 1`` for a pad, so a row
-      pays two bytes to cross; the pads are dropped before ``fn``.
+      upstream map, so upstream stages still stream;
+    - ``n > 1``: rows go to the part of the hash of their key columns
+      mod ``n`` and are sorted on the int16 part column ``_part`` with
+      the known boundaries, so Ray skips its sampling pass and returns
+      exactly ``n`` blocks.
 
-    So a partition of pads alone calls ``fn`` on a ZERO-ROW table that
-    keeps the input's schema (the pads carry it), and ``fn`` returns
+    A single input crosses as rows (on one CPU, as a zero-copy view of
+    its blocks).  Ray calls no map UDF on an empty block, so every
+    tagging task also appends one all-null PAD row per part (``_part``
+    is ``2 * part`` for a row, ``2 * part + 1`` for a pad, dropped
+    before ``fn``).  Each block of a co-grouped input crosses as ``n``
+    packed rows, one per part: ``_part``, the input's index ``_src``
+    (int8) and an Arrow IPC stream of the block's rows of that part
+    (``_payload``, the ``n`` streams written into one buffer), unpacked
+    with no copy.  The packing map fuses into each input's last map, and
+    emits every part, so it needs no pad.
+
+    So every partition calls ``fn``, one with no row of its own on
+    ZERO-ROW tables that keep the inputs' schemas, and ``fn`` returns
     its own typed empty result: no caller names its output schema up
-    front.  An input of empty blocks alone calls no ``fn`` under either
-    plan, and yields no rows."""
+    front.  ``fn`` gets None for an input none of whose rows reached the
+    exchange, unless Ray knew before running that it had none
+    (``known_rows``: an in-memory table or a read), which gives a
+    zero-row table of its schema.  Inputs of empty blocks alone call no
+    ``fn`` under either plan, and yield no rows."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    keys_l = [keys] if isinstance(keys, str) else list(keys)
-    inputs = list(ds) if isinstance(ds, (list, tuple)) else [ds]
-
-    def union(parts: list):
-        return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
-
     n = cluster_cpus()
+    if isinstance(ds, (list, tuple)):
+        staged, apply, bounds = _cogroup(list(ds), keys, fn, n)
+    elif n == 1:
+        staged, apply = ds, fn
+    else:
+        keys_l = [keys] if isinstance(keys, str) else list(keys)
+
+        def tag(t: pa.Table) -> pa.Table:
+            pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)
+            part = (hash_cols(t, keys_l) % np.uint64(n)).astype(np.int16)
+            tags = np.concatenate([2 * part, 2 * np.arange(n, dtype=np.int16) + 1])
+            return pa.concat_tables([t, pads]).append_column("_part", pa.array(tags, pa.int16()))
+
+        def apply(part: pa.Table) -> pa.Table:
+            real = pc.equal(pc.bit_wise_and(part.column("_part"), 1), 0)
+            return fn(part.filter(real).drop_columns(["_part"]))
+
+        staged, bounds = ds.map_batches(tag, batch_format="pyarrow"), list(range(2, 2 * n, 2))
+
     if n == 1:
         def apply_block(block: pa.Table) -> pa.Table:  # one operator name for every caller
-            return fn(block)
+            return apply(block)
 
-        return union(inputs).map_batches(apply_block, batch_size=GATHER_ROWS, concurrency=1,
-                                         zero_copy_batch=True, batch_format="pyarrow")
-
-    def tag(t: pa.Table) -> pa.Table:
-        pads = pa.Table.from_arrays([pa.nulls(n, f.type) for f in t.schema], schema=t.schema)
-        part = (hash_cols(t, keys_l) % np.uint64(n)).astype(np.int16)
-        tags = np.concatenate([2 * part, 2 * np.arange(n, dtype=np.int16) + 1])
-        return pa.concat_tables([t, pads]).append_column("_part", pa.array(tags, pa.int16()))
+        return staged.map_batches(apply_block, batch_size=GATHER_ROWS, concurrency=1,
+                                  zero_copy_batch=True, batch_format="pyarrow")
 
     def run(part: pa.Table) -> pa.Table:
-        real = pc.equal(pc.bit_wise_and(part.column("_part"), 1), 0)
-        return fn(part.filter(real).drop_columns(["_part"]))
+        return apply(part)
 
-    return (
-        union([d.map_batches(tag, batch_format="pyarrow") for d in inputs])
-        .sort("_part", boundaries=list(range(2, 2 * n, 2)))
-        .map_batches(run, batch_size=None, batch_format="pyarrow")
-    )
+    return staged.sort("_part", boundaries=bounds).map_batches(run, batch_size=None,
+                                                               batch_format="pyarrow")
+
+
+def _cogroup(inputs: list, keys, fn, n: int):
+    """``exchange``'s list form: (the union of the packed inputs, the
+    function that unpacks a partition and calls ``fn``, the ``_part``
+    boundaries)."""
+    import pyarrow as pa
+
+    specs = keys if isinstance(keys, tuple) else (keys,) * len(inputs)
+    specs = [[k] if isinstance(k, str) else list(k) for k in specs]
+    # what ``fn`` gets for an input no packed row of which reaches it
+    absent = [d.schema().base_schema.empty_table() if known_rows(d) == 0 else None
+              for d in inputs]
+
+    def packer(src: int, key_cols: list):
+        def pack(t: pa.Table) -> pa.Table:
+            starts = np.zeros(n + 1, np.int64)
+            if n > 1:
+                part = (hash_cols(t, key_cols) % np.uint64(n)).astype(np.int16)
+                t = t.take(np.argsort(part, kind="stable"))
+                starts[1:] = np.cumsum(np.bincount(part, minlength=n))
+            else:
+                starts[1] = t.num_rows
+            sink, offsets = pa.BufferOutputStream(), [0]
+            for p in range(n):
+                with pa.ipc.new_stream(sink, t.schema) as writer:
+                    writer.write_table(t.slice(starts[p], starts[p + 1] - starts[p]))
+                offsets.append(sink.tell())
+            payload = pa.Array.from_buffers(
+                pa.large_binary(), n,
+                [None, pa.py_buffer(np.array(offsets, np.int64)), sink.getvalue()])
+            return pa.table({"_part": pa.array(np.arange(n, dtype=np.int16)),
+                             "_src": pa.array(np.full(n, src, np.int8)),
+                             "_payload": payload})
+
+        return pack
+
+    def unpack(part: pa.Table) -> pa.Table:
+        tables = [[] for _ in inputs]
+        src = iter(part.column("_src").to_numpy())
+        for chunk in part.column("_payload").chunks:
+            if not len(chunk):
+                continue
+            offsets = np.frombuffer(chunk.buffers()[1], np.int64)[chunk.offset:]
+            data = chunk.buffers()[2]
+            for lo, hi in zip(offsets[:len(chunk)], offsets[1:len(chunk) + 1]):
+                tables[next(src)].append(pa.ipc.open_stream(data.slice(lo, hi - lo)).read_all())
+        return fn(*[pa.concat_tables(t, promote_options="default") if t else a
+                    for t, a in zip(tables, absent)])
+
+    packed = [d.map_batches(packer(i, k), batch_format="pyarrow")
+              for i, (d, k) in enumerate(zip(inputs, specs))]
+    staged = packed[0].union(*packed[1:]) if len(packed) > 1 else packed[0]
+    return staged, unpack, list(range(1, n))
 
 
 # Broadcasts each worker process keeps deserialized: the most one

@@ -7,15 +7,16 @@ sort, no repartition) runs in a ``num_cpus=1`` session in a subprocess,
 which computes every case once and records the operators some of them
 executed (``one_cpu_results``).  Both plans must equal the same
 single-process reference.  On one CPU the point anti-join over images
-whose row count or schema the plan knows is no exchange at all: it
-samples and emits its misses in one task, and over images Ray knows
-to be empty it runs no task.  ``__ray_entry__.entry()``'s join, whose
+Ray knows to have rows is no exchange at all: it samples and emits its
+misses in one task, and over images Ray knows to be empty it runs no
+task.  ``__ray_entry__.entry()``'s join, whose
 images are a map's output, keeps the exchange there; it must give the
 same rows at 1 and at 4 CPUs.
 The checkpointed tiling job runs no exchange but sizes its tile
 bundles by the same CPU count, so it runs in both sessions too.
 
-``exchange`` itself is checked by a property test against a pyarrow
+``exchange`` itself, over one input and over a co-group of two inputs
+of different schemas, is checked by a property test against a pyarrow
 ``group_by`` reference, and the relational, text and temporal operators
 built on it, and the contract queries whose shuffle is an exchange, must
 give the same rows under both plans."""
@@ -402,34 +403,54 @@ def _sort_rows(rows: list) -> list:
     return sorted(rows, key=lambda r: [(v is None, str(v)) for v in r])
 
 
+def _renamed(t: pa.Table) -> pa.Table:
+    """``t`` as the second input of a co-group: its key columns renamed
+    (``k`` -> ``kb``) and one extra column."""
+    names = [c.replace("k", "kb") if c.startswith("k") else c for c in t.column_names]
+    return t.rename_columns(names).append_column("extra", pa.nulls(t.num_rows, pa.float64()))
+
+
 def run_exchange_case(kind: str, block_codes: list) -> dict:
     """One ``exchange`` whose ``fn`` returns one row per call: the rows
-    it saw, the pad rows among them (null ``rid``), whether it saw the
-    input schema, and its other rows as Arrow IPC bytes.  Returns the
-    call counts and the per-key summary of every call's rows."""
+    it saw, the pad rows among them (null ``rid``), whether each table
+    it got has its own input's schema, and its rows (the second
+    input's under the first one's key names) as Arrow IPC bytes.  An
+    even number of blocks goes in as a list of two inputs that differ
+    in schema: the first block, and the others renamed by ``_renamed``,
+    co-grouped on per-input keys.  Returns the call counts and the
+    per-key summary of every call's rows."""
     import ray.data as rd
 
     from rasters_ray.util import exchange
 
     blocks = exchange_blocks(kind, block_codes)
-    schema, keys = blocks[0].schema, _exchange_keys(kind)
+    keys = _exchange_keys(kind)
+    renamed_keys = [k.replace("k", "kb") for k in keys]
+    if len(blocks) % 2 == 0:
+        inputs = [blocks[:1], [_renamed(b) for b in blocks[1:]]]
+        keys_in = (keys, renamed_keys)
+    else:
+        inputs, keys_in = [blocks], keys
+    schemas = [bs[0].schema for bs in inputs]
 
-    def summarize(part: pa.Table) -> pa.Table:  # nested: workers unpickle it by value
-        real = part.filter(pc.is_valid(part.column("rid")))
+    def summarize(*parts: pa.Table) -> pa.Table:  # nested: workers unpickle it by value
+        typed = all(p is not None and p.schema == s for p, s in zip(parts, schemas))
+        rows = pa.concat_tables([p.select(ks + ["rid"]).rename_columns(keys + ["rid"])
+                                 for p, ks in zip(parts, [keys, renamed_keys])
+                                 if p is not None])
+        real = rows.filter(pc.is_valid(rows.column("rid")))
         sink = pa.BufferOutputStream()
         with pa.ipc.new_stream(sink, real.schema) as writer:
             writer.write_table(real)
         return pa.table({
-            "rows": pa.array([part.num_rows], pa.int64()),
-            "pads": pa.array([part.num_rows - real.num_rows], pa.int64()),
-            "typed": pa.array([part.schema == schema]),
+            "rows": pa.array([rows.num_rows], pa.int64()),
+            "pads": pa.array([rows.num_rows - real.num_rows], pa.int64()),
+            "typed": pa.array([typed]),
             "real": pa.array([sink.getvalue().to_pybytes()], pa.binary()),
         })
 
-    # an even number of blocks goes in as a list of two datasets
-    ds = ([rd.from_arrow(blocks[:1]), rd.from_arrow(blocks[1:])] if len(blocks) % 2 == 0
-          else rd.from_arrow(blocks))
-    out = [b for b in _blocks(exchange(ds, keys, summarize)) if b.num_rows]
+    ds = [rd.from_arrow(bs) for bs in inputs] if len(inputs) > 1 else rd.from_arrow(blocks)
+    out = [b for b in _blocks(exchange(ds, keys_in, summarize)) if b.num_rows]
     calls = pa.concat_tables(out).to_pydict() if out else {"rows": [], "pads": [], "typed": [], "real": []}
     groups = [r for ipc in calls["real"]
               for r in _group_rows(pa.ipc.open_stream(ipc).read_all(), keys)]
@@ -438,10 +459,11 @@ def run_exchange_case(kind: str, block_codes: list) -> dict:
 
 
 def check_exchange_case(kind: str, block_codes: list, got: dict, n_parts: int):
-    """Every key's rows reach ``fn`` together (one summary row per key,
-    equal to the reference), no pad row reaches it, and each of the
-    ``n_parts`` partitions calls it once with the input schema, a
-    partition of pads alone with zero rows."""
+    """Every key's rows, of every input, reach ``fn`` together (one
+    summary row per key, equal to the reference), no pad row reaches it,
+    and each of the ``n_parts`` partitions calls it once with each
+    input's own schema, a partition with no row of its own with zero
+    rows."""
     blocks = exchange_blocks(kind, block_codes)
     total = sum(len(c) for c in block_codes)
     assert got["groups"] == _group_rows(pa.concat_tables(blocks), _exchange_keys(kind))
@@ -571,6 +593,58 @@ def run_operator(name: str) -> str:
     return _sorted_digest(_blocks(operator_ds(name)))
 
 
+def test_co_grouped_operators_never_fetch_a_schema(ray_session, monkeypatch):
+    """``Dataset.schema()`` on an unexecuted ``map_batches`` pipeline
+    runs it under ``limit=1`` and cancels the tasks still in flight.
+    Each input of a co-grouped exchange crosses in its own schema, so no
+    operator on one asks its inputs for theirs; nor does
+    ``winsorized_stats``."""
+    import ray.data as rd
+
+    from rasters_ray.relational import asof_join, hash_join
+    from rasters_ray.relational.rangepart import winsorized_stats
+    from rasters_ray.relational.setops import set_op
+    from rasters_ray.stages.elementwise import zip_apply
+    from rasters_ray.text.dedup import exact_verify_pairs
+
+    fetched, schema = [], rd.Dataset.schema
+
+    def recording_schema(self, fetch_if_missing=True):
+        if fetch_if_missing:
+            fetched.append(self)
+        return schema(self, fetch_if_missing)
+
+    def same(t: pa.Table) -> pa.Table:
+        return t
+
+    def mapped(t: pa.Table):  # Ray knows neither its row count nor its schema
+        return _rel_ds(t, 2).map_batches(same, batch_format="pyarrow")
+
+    left, right = (_table(d) for d in _join_sides())
+    ts = np.arange(30, dtype=np.int64)
+    events = pa.table({"u": pa.array(ts % 4), "t": pa.array(ts * 5), "x": pa.array(ts)})
+    keys = pa.table({"k": pa.array([f"{v}" for v in range(12)])})
+    images = make_oracle_images(np.arange(4))
+    docs = pa.table({"doc_id": pa.array(np.arange(4, dtype=np.int64)),
+                     "text": pa.array(["same text here"] * 3 + ["other"])})
+    pairs = pa.table({"a": pa.array([0, 0, 1], pa.int64()), "b": pa.array([1, 2, 2], pa.int64())})
+    monkeypatch.setattr(rd.Dataset, "schema", recording_schema)
+    built = {
+        "hash_join": hash_join(mapped(left), mapped(right), on="k", right_on="rk"),
+        "asof_join": asof_join(mapped(events.select(["u", "t"])), mapped(events),
+                               by="u", on="t"),
+        "set_op": set_op(mapped(keys), mapped(keys.slice(4)), "k", "intersect"),
+        "zip_apply": zip_apply(mapped(images), mapped(images), np.add),
+        "exact_verify_pairs": exact_verify_pairs(mapped(pairs), mapped(docs)),
+        "winsorized_stats": winsorized_stats(mapped(events), "x", "u", 0.1, 0.9),
+    }
+    assert fetched == []
+    monkeypatch.undo()
+    assert {name: _table(ds).num_rows for name, ds in built.items()} == {
+        "hash_join": 22, "asof_join": 30, "set_op": 8, "zip_apply": 4,
+        "exact_verify_pairs": 3, "winsorized_stats": 4}
+
+
 # -- the contract queries built on exchange, under both plans ------------
 
 # Every per-user, per-window and per-series query whose shuffle is an
@@ -673,9 +747,10 @@ def test_one_part_point_sample_is_one_map_task(one_cpu_results, step):
     the input: no separate sampling map, no gather, no repartition.
     Over images Ray knows have rows (an in-memory table, a parquet
     read), that task runs straight on them, with no pad row and no
-    union.  Over a filtered read, whose schema Ray knows but not its
-    count, a pad row unioned on makes the task run.  Over images Ray
-    knows to be empty no task runs at all."""
+    union.  Over a filtered read, whose row count Ray does not know, the
+    sampling map feeds the co-grouped anti-join exchange, whose one
+    gather task runs on the marker ids even when no image row arrives.
+    Over images Ray knows to be empty no task runs at all."""
     ops = one_cpu_results["plan"][step]
     names = [name for name, _ in ops]
     maps = [op for op in ops if op[0].startswith("MapBatches")]
@@ -683,9 +758,12 @@ def test_one_part_point_sample_is_one_map_task(one_cpu_results, step):
     if step == "anti_join_empty":
         assert not maps and all(tasks == 0 for _, tasks in ops), ops
         return
+    if step == "anti_join_filtered_empty":
+        assert "MapBatches(sample)->MapBatches(pack)" in names, names
+        assert ops[-1] == ["MapBatches(apply_block)", 1], ops
+        return
     assert maps == [["MapBatches(sample_gather)", 1]] and ops[-1] == maps[0], ops
-    unions = [name for name in names if name.startswith("Union")]
-    assert bool(unions) == (step == "anti_join_filtered_empty"), names
+    assert not [name for name in names if name.startswith("Union")], names
 
 
 def test_known_rows_never_executes(ray_session, tmp_path):

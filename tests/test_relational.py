@@ -140,6 +140,34 @@ def test_asof_join_empty_sides(ray_session):
     assert len(got2) == 1 and np.isnan(got2["v"].iloc[0])
 
 
+def test_hash_join_with_a_side_filtered_to_nothing(ray_session, left_right):
+    # Ray calls no map UDF on an empty block and knows no row count for
+    # a map's output, so a side filtered to nothing reaches the join as
+    # no rows at all: the join gives what its type implies, and a left
+    # outer join, which needs the absent right side's columns, raises
+    import ray.data as rd
+
+    left, right = left_right
+
+    def nothing(t: pa.Table) -> pa.Table:
+        return t.slice(0, 0)
+
+    def absent(t: pa.Table):
+        return _ds(t).map_batches(nothing, batch_format="pyarrow")
+
+    for l_ds, r_ds in ((_ds(left), absent(right)), (absent(left), _ds(right))):
+        assert len(hash_join(l_ds, r_ds, on="k", right_on="rk").to_pandas()) == 0
+    anti = hash_join(_ds(left), absent(right), on="k", right_on="rk", how="left anti")
+    assert sorted(anti.to_pandas()["lv"]) == sorted(left.column("lv").to_pylist())
+    # Ray Data wraps the task's ValueError in its own exception
+    with pytest.raises(Exception, match="ValueError: a left outer join needs the right side's"):
+        hash_join(_ds(left), absent(right), on="k", right_on="rk", how="left outer").to_pandas()
+    # Ray knows an in-memory table is empty: its typed zero rows join
+    empty = rd.from_arrow(right.slice(0, 0))
+    outer = hash_join(_ds(left), empty, on="k", right_on="rk", how="left outer").to_pandas()
+    assert len(outer) == left.num_rows and outer["rv"].isna().all()
+
+
 @pytest.mark.parametrize("closed", ["left", "both"])
 def test_interval_join_brute(ray_session, closed):
     rng = np.random.default_rng(3)
